@@ -21,7 +21,6 @@
 #include "arb/sub_block_arbiter.hh"
 #include "common/random.hh"
 #include "fabric/fabric.hh"
-#include "sim/batch_sim.hh"
 #include "sim/network_sim.hh"
 #include "traffic/pattern.hh"
 
@@ -353,50 +352,6 @@ BM_SaturationRun_HiRise_Legacy(benchmark::State &state)
     loadedRun(state, Topology::HiRise, 1.0, 5000, true);
 }
 
-constexpr net::Cycle kSatMeasure = 5000;
-
-/**
- * Batched multi-replica counterpart of BM_SaturationRun_HiRise: R
- * independent seeds of the same saturated spec advance in lockstep
- * through one sim::BatchSim (the engine runPointsCached uses for
- * grouped cache misses). Items = R x simulated cycles, so
- * items_per_second here divided by BM_SaturationRun_HiRise/128/0's
- * reads directly as the per-replica batching speedup.
- */
-static void
-BM_BatchedRun_HiRise(benchmark::State &state)
-{
-    const auto radix = static_cast<std::uint32_t>(state.range(0));
-    const auto replicas =
-        static_cast<std::uint32_t>(state.range(1));
-    SwitchSpec spec;
-    spec.topo = Topology::HiRise;
-    spec.radix = radix;
-    spec.layers = 4;
-    spec.channels = 4;
-    spec.arb = ArbScheme::Clrg;
-    sim::SimConfig cfg;
-    cfg.injectionRate = 1.0;
-    cfg.warmupCycles = kLowLoadWarmup;
-    cfg.measureCycles = kSatMeasure;
-    for (auto _ : state) {
-        std::vector<std::shared_ptr<traffic::TrafficPattern>> pats;
-        std::vector<sim::BatchPoint> pts;
-        for (std::uint32_t r = 0; r < replicas; ++r) {
-            pats.push_back(
-                std::make_shared<traffic::UniformRandom>(radix));
-            pts.push_back(
-                {1.0, r == 0 ? cfg.seed : shardSeed(cfg.seed, r)});
-        }
-        sim::BatchSim batch(spec, cfg, std::move(pats), pts);
-        auto res = batch.run();
-        benchmark::DoNotOptimize(res);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * replicas *
-        (kLowLoadWarmup + kSatMeasure)));
-}
-
 // Args: {radix, dense? 1 : 0}.
 BENCHMARK(BM_LowLoadRun_HiRise)
     ->Args({128, 0})
@@ -417,10 +372,4 @@ BENCHMARK(BM_SaturationRun_HiRise)
 BENCHMARK(BM_SaturationRun_HiRise_Legacy)
     ->Args({128, 0})
     ->Args({128, 1})
-    ->Unit(benchmark::kMillisecond);
-// Args: {radix, replica lanes}.
-BENCHMARK(BM_BatchedRun_HiRise)
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({128, 8})
     ->Unit(benchmark::kMillisecond);

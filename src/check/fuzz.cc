@@ -8,9 +8,9 @@
 #include "check/lockstep.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/simd.hh"
 #include "fabric/fabric.hh"
 #include "fabric/hirise.hh"
-#include "sim/batch_sim.hh"
 #include "traffic/pattern.hh"
 
 namespace hirise::check {
@@ -255,8 +255,6 @@ isValid(const DiffConfig &c)
         return false;
     if (c.pattern == PatternKind::Bursty && !(c.meanBurstLen >= 1.0))
         return false;
-    if (c.batchReplicas == 1 || c.batchReplicas > 8)
-        return false; // 0 = off, else 2..8 lanes
     if (!c.faults.empty() && s.topo != Topology::HiRise)
         return false;
     for (const auto &f : c.faults) {
@@ -310,8 +308,6 @@ describe(const DiffConfig &c)
     if (!c.faultSchedule.empty())
         os << " sched=" << c.faultSchedule.events.size() << "ev/"
            << c.faultSchedule.flaky.size() << "fl";
-    if (c.batchReplicas >= 2)
-        os << " batch=" << c.batchReplicas;
     if (c.mutation != Mutation::None)
         os << " mutation=" << toString(c.mutation);
     return os.str();
@@ -401,51 +397,6 @@ runDifferential(const DiffConfig &c)
         }
     }
 
-    // Pass 4: the batched multi-replica engine. Lane 0 reruns this
-    // config's exact point, the other lanes sharded seeds; every lane
-    // must be bit-identical to its own scalar run (faults included).
-    // Skipped under a mutation (BatchSim has no oracle hook) and while
-    // a tracer is armed (batching is disabled there by design).
-    if (c.mutation == Mutation::None && c.batchReplicas >= 2 &&
-        sim::BatchSim::usable()) {
-        auto faulted = [&c] {
-            auto f = fabric::makeFabric(c.spec);
-            if (auto *hr =
-                    dynamic_cast<fabric::HiRiseFabric *>(f.get())) {
-                for (const auto &fa : c.faults)
-                    hr->failChannel(fa.srcLayer, fa.dstLayer, fa.chan);
-            }
-            return f;
-        };
-        std::vector<sim::BatchPoint> pts;
-        std::vector<std::shared_ptr<traffic::TrafficPattern>> pats;
-        for (std::uint32_t j = 0; j < c.batchReplicas; ++j) {
-            pts.push_back({c.cfg.injectionRate,
-                           j == 0 ? c.cfg.seed
-                                  : shardSeed(c.cfg.seed, j)});
-            pats.push_back(makePattern(c));
-        }
-        sim::BatchSim batch(c.spec, c.cfg, std::move(pats), pts,
-                            faulted);
-        batch.setFaultSchedule(c.faultSchedule);
-        std::vector<sim::SimResult> lanes = batch.run();
-        for (std::uint32_t j = 0; j < c.batchReplicas; ++j) {
-            sim::SimConfig scfg = c.cfg;
-            scfg.seed = pts[j].seed;
-            sim::NetworkSim scalar(c.spec, scfg, makePattern(c),
-                                   faulted());
-            scalar.setFaultSchedule(c.faultSchedule);
-            if (!sameResult(lanes[j], scalar.run(), &why)) {
-                out.ok = false;
-                out.mismatchCycle =
-                    c.cfg.warmupCycles + c.cfg.measureCycles;
-                out.detail = "batch lane " + std::to_string(j) + "/" +
-                             std::to_string(c.batchReplicas) +
-                             " diverged from scalar: " + why;
-                return out;
-            }
-        }
-    }
     return out;
 }
 
@@ -539,10 +490,6 @@ sampleConfig(Rng &rng)
         c.pattern = PatternKind::Uniform;
         break;
     }
-
-    // ~30% of configs add the batched-engine pass with 2-4 lanes.
-    if (u32(0, 9) < 3)
-        c.batchReplicas = u32(2, 4);
 
     if (c.spec.topo == Topology::HiRise && u32(0, 9) < 3) {
         std::uint32_t pool =
@@ -732,18 +679,6 @@ shrink(const DiffConfig &failing)
             return true;
         });
         add([](DiffConfig &d) {
-            if (d.batchReplicas == 0)
-                return false;
-            d.batchReplicas = 0; // does it still fail without pass 4?
-            return true;
-        });
-        add([](DiffConfig &d) {
-            if (d.batchReplicas <= 2)
-                return false;
-            --d.batchReplicas;
-            return true;
-        });
-        add([](DiffConfig &d) {
             if (d.tier == simd::Tier::Scalar)
                 return false;
             d.tier = simd::Tier::Scalar;
@@ -885,8 +820,6 @@ toGtestRepro(const DiffConfig &c)
     if (c.pattern == PatternKind::Bursty)
         os << "    c.meanBurstLen = " << fmtDouble(c.meanBurstLen)
            << ";\n";
-    if (c.batchReplicas >= 2)
-        os << "    c.batchReplicas = " << c.batchReplicas << ";\n";
     if (c.tier != simd::Tier::Scalar) {
         os << "    c.tier = simd::Tier::"
            << (c.tier == simd::Tier::Avx512 ? "Avx512" : "Avx2")

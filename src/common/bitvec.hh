@@ -234,87 +234,6 @@ class BitVec
     std::vector<Word> w_;
 };
 
-/**
- * Non-owning bit-plane view over externally managed words: one
- * replica's lane inside a batched structure-of-arrays buffer
- * (sim/batch_sim.cc keeps R replica planes contiguous and hands out
- * one BitSpan per replica). Mirrors the BitVec per-bit interface; the
- * caller owns word storage and lifetime, and planes of one buffer
- * must not overlap.
- */
-class BitSpan
-{
-  public:
-    using Word = BitVec::Word;
-    static constexpr std::uint32_t kWordBits = BitVec::kWordBits;
-
-    BitSpan(Word *words, std::uint32_t nbits)
-        : w_(words), nbits_(nbits),
-          nwords_((nbits + kWordBits - 1) / kWordBits)
-    {}
-
-    std::uint32_t size() const { return nbits_; }
-    std::uint32_t numWords() const { return nwords_; }
-    const Word *words() const { return w_; }
-    Word *words() { return w_; }
-
-    bool
-    test(std::uint32_t i) const
-    {
-        return (w_[i / kWordBits] >> (i % kWordBits)) & 1u;
-    }
-
-    void
-    set(std::uint32_t i)
-    {
-        sim_assert(i < nbits_, "bit %u out of range", i);
-        w_[i / kWordBits] |= Word(1) << (i % kWordBits);
-    }
-    void
-    reset(std::uint32_t i)
-    {
-        sim_assert(i < nbits_, "bit %u out of range", i);
-        w_[i / kWordBits] &= ~(Word(1) << (i % kWordBits));
-    }
-
-    void clear() { simd::zeroWords(w_, nwords_); }
-
-    /** Set every bit in [0, size()), zeroing the word tail. */
-    void
-    fill()
-    {
-        for (std::uint32_t k = 0; k < nwords_; ++k)
-            w_[k] = ~Word(0);
-        std::uint32_t tail = nbits_ % kWordBits;
-        if (tail && nwords_)
-            w_[nwords_ - 1] &= (Word(1) << tail) - 1;
-    }
-
-    bool any() const { return simd::anyWord(w_, nwords_); }
-    bool none() const { return !any(); }
-
-    /** Call @p fn(index) for each set bit in ascending order. Safe to
-     *  reset the current bit inside @p fn (iteration copies words). */
-    template <typename Fn>
-    void
-    forEachSet(Fn fn) const
-    {
-        for (std::uint32_t k = 0; k < nwords_; ++k) {
-            Word w = w_[k];
-            while (w) {
-                fn(k * kWordBits +
-                   static_cast<std::uint32_t>(std::countr_zero(w)));
-                w &= w - 1;
-            }
-        }
-    }
-
-  private:
-    Word *w_;
-    std::uint32_t nbits_;
-    std::uint32_t nwords_;
-};
-
 } // namespace hirise
 
 #endif // HIRISE_COMMON_BITVEC_HH

@@ -22,7 +22,7 @@
  * freshly constructed object of the *same configuration* and
  * overwrites state only. Restored runs must be bit-identical to
  * uninterrupted ones (tests/snapshot_test.cc enforces this across
- * dense, event, and batched stepping, with fault events active).
+ * dense and event stepping, with fault events active).
  *
  * Bump kSnapshotVersion whenever any component's save layout changes;
  * stale snapshots are then rejected at load.
@@ -42,7 +42,7 @@
 namespace hirise::snap {
 
 /** Snapshot format version; part of the on-disk header. v1: initial
- *  format (NetworkSim/BatchSim + fabric + arbiters + fault state). */
+ *  format (NetworkSim + fabric + arbiters + fault state). */
 constexpr std::uint32_t kSnapshotVersion = 1;
 
 class Writer

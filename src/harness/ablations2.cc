@@ -74,11 +74,10 @@ seedSensitivity(const ExperimentOptions &opt)
         {"3D 2-Ch CLRG", specHiRise(2, ArbScheme::Clrg), 7.65},
         {"3D 1-Ch CLRG", specHiRise(1, ArbScheme::Clrg), 4.27},
     };
-    // One design's five seeds are one point family at full load, so
-    // each design's cache misses run as a single multi-replica batch
-    // (sim::BatchSim); every lane is bit-identical to the serial
-    // per-seed run it replaces, keeping the published statistics.
-    // Aggregation stays in seed order.
+    // One design's five seeds are one point family at full load,
+    // evaluated through sim::runPointsCached; each seed's result is
+    // bit-identical to the serial per-seed run, keeping the published
+    // statistics. Aggregation stays in seed order.
     std::vector<std::size_t> idx(std::size(entries));
     for (std::size_t e = 0; e < idx.size(); ++e)
         idx[e] = e;

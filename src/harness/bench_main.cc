@@ -10,7 +10,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/sim_cache.hh"
-#include "sim/sweep.hh"
 
 namespace hirise::harness {
 
@@ -69,15 +68,9 @@ benchMain(int argc, char **argv,
         } else if (std::strcmp(argv[i], "--metrics-csv") == 0 &&
                    i + 1 < argc) {
             metrics_csv_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--replicas") == 0 &&
-                   i + 1 < argc) {
-            // Replica lanes per batched simulation (0/1 = scalar);
-            // overrides the HIRISE_BATCH environment default.
-            sim::setBatchReplicas(static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10)));
         } else {
             fatal("unknown argument '%s' (use --quick, --csv <dir>, "
-                  "--seed <n>, --threads <n>, --replicas <n>, "
+                  "--seed <n>, --threads <n>, "
                   "--trace <file>, --trace-chrome <file>, "
                   "--trace-capacity <n>, --metrics <file>, "
                   "--metrics-csv <file>)",

@@ -295,10 +295,8 @@ fig10(const ExperimentOptions &opt)
                              pkt_per_cycle <= 0.25});
         }
     }
-    // One design's runnable cells form one point family, so cache
-    // misses run as multi-replica batches (sim::BatchSim) instead of
-    // independent scalar simulations; every lane is bit-identical to
-    // the per-cell run it replaces.
+    // One design's runnable cells form one point family, evaluated
+    // through sim::runPointsCached (one pool task per cache miss).
     std::vector<sim::SimResult> results(cells.size());
     for (std::size_t e = 0; e < entries.size(); ++e) {
         std::vector<std::size_t> idx;
@@ -416,7 +414,7 @@ fig11b(const ExperimentOptions &opt)
         }
     }
     // Per-design point families again: each scheme's load column
-    // batches its cache misses through sim::BatchSim.
+    // goes through sim::runPointsCached as one family.
     std::vector<sim::SimResult> results(cells.size());
     for (std::size_t e = 0; e < entries.size(); ++e) {
         std::vector<std::size_t> idx;

@@ -91,8 +91,8 @@ schedLoads(const ExperimentOptions &opt)
 }
 
 /** results[pattern][load][scheme], each (scheme, pattern) family
- *  batched through sim::runPointsCached so the campaign cache and
- *  BatchSim lanes see the same access pattern as the figure suites. */
+ *  evaluated through sim::runPointsCached so the campaign cache sees
+ *  the same access pattern as the figure suites. */
 std::vector<std::vector<std::vector<sim::SimResult>>>
 runSchedMatrix(const ExperimentOptions &opt,
                const std::vector<SchemeEntry> &schemes,

@@ -144,9 +144,9 @@ class InputPort
      * streams at most one flit of @p head into a VC. Returns true
      * when @p head 's last flit went in (the caller advances its
      * queue). While a packet is mid-stream (fillProgress() > 0) the
-     * caller must keep passing the same packet. Used by the batched
-     * simulator's virtual source queues, which reconstruct head
-     * packets from the counter streams instead of materializing them.
+     * caller must keep passing the same packet. Used by the virtual
+     * source queues, which reconstruct head packets from the counter
+     * streams instead of materializing them.
      */
     bool fillFrom(const Packet &head);
 
@@ -216,12 +216,6 @@ class InputPort
      */
     std::uint32_t
     pickCandidateVc(const BitVec *dst_free = nullptr);
-
-    /** As pickCandidateVc, but reading availability straight from a
-     *  word array (a BitSpan plane inside the batched simulator's
-     *  structure-of-arrays state). Same round-robin semantics. */
-    std::uint32_t
-    pickCandidateVcWords(const BitVec::Word *dst_free);
 
     /** Destination requested by the candidate VC. */
     std::uint32_t

@@ -1,36 +1,10 @@
 /**
  * @file
- * Batched multi-replica simulator: R replicas of one SwitchSpec —
- * same topology, VC shape, and run length, but independent
- * (injection-rate, seed) points — stepped in lockstep through
- * structure-of-arrays fabric state.
- *
- * Bit-identity contract: every lane reproduces the scalar
- * NetworkSim run for its (rate, seed) point bit for bit. The engine
- * mirrors the scalar event core's high-rate configuration exactly
- * (per-cycle injection polling, active-set arbitration, incremental
- * output-availability tracking), which stepping_test already proves
- * bit-identical to the dense reference; the counter-based RNG
- * (common/random.hh) makes each replica's draws a pure function of
- * (seed, lane, cycle), so evaluating them four stream lanes at a
- * time (simd::counterDraw4) changes nothing but instruction count.
- * tests/batch_test.cc and the fuzzer's replica axis enforce the
- * contract per lane.
- *
- * Where the batch wins: saturated replicas (the campaign's
- * saturation-search workload) never materialize their source queues —
- * at load >= 1 the queue contents are a pure function of the counter
- * streams, so injection collapses to an accounting bump and only each
- * input's head packet exists, re-derived on consumption (see
- * sim/virtual_queue.hh, shared with NetworkSim's scalar saturation
- * fast path; ~2x per-replica saturation throughput vs the legacy
- * queued path). Below saturation the injection Bernoulli and destination
- * draws hash four consecutive input lanes per AVX2 step. The
- * per-replica bit planes (output-free, connected, eligible,
- * fill-pending) live in one contiguous word buffer per plane kind
- * instead of R scattered simulator objects, and each replica's phases
- * fuse into a single walk of its state per cycle, so the combined
- * working set streams once per cycle, not once per phase.
+ * Forwarder kept only for the benchmark program (perfbench/), whose
+ * sources still evaluate points as replica lane groups. Every switch
+ * point runs on the scalar NetworkSim; this maps the old lane-group
+ * interface onto one NetworkSim per lane, and goes away with the next
+ * change to the benchmark.
  */
 
 #ifndef HIRISE_SIM_BATCH_SIM_HH
@@ -40,224 +14,56 @@
 #include <memory>
 #include <vector>
 
-#include "common/bitvec.hh"
-#include "common/spec.hh"
-#include "common/stats.hh"
-#include "fabric/fabric.hh"
-#include "net/input_port.hh"
-#include "net/packet.hh"
 #include "sim/network_sim.hh"
-#include "sim/virtual_queue.hh"
-#include "traffic/pattern.hh"
 
 namespace hirise::sim {
 
-/** One replica lane: the (offered load, seed) point it simulates. */
+/** One lane: the (offered load, seed) point it simulates. */
 struct BatchPoint
 {
-    double load = 0.0;      //!< packets/input/cycle offered
-    std::uint64_t seed = 0; //!< counter-RNG base seed
+    double load = 0.0;
+    std::uint64_t seed = 0;
 };
 
-/** Per-replica fabric supplier; defaults to fabric::makeFabric(spec).
- *  The fuzzer injects pre-faulted fabrics through this. */
-using FabricFactory =
-    std::function<std::unique_ptr<fabric::Fabric>()>;
+/** Per-lane fabric supplier; empty means fabric::makeFabric(spec). */
+using FabricFactory = std::function<std::unique_ptr<fabric::Fabric>()>;
+
+/** Always 1: runPointsCached runs every cache miss on its own. */
+inline std::uint32_t batchReplicas() { return 1; }
 
 class BatchSim
 {
   public:
-    /**
-     * @param spec      switch configuration shared by every replica
-     * @param base      run shape shared by every replica; its
-     *                  injectionRate/seed fields are ignored (each
-     *                  lane uses its BatchPoint), and trace must be
-     *                  off (tracing runs fall back to NetworkSim)
-     * @param patterns  one traffic pattern per replica, all built
-     *                  from the same factory (stateful patterns must
-     *                  never be shared across replicas)
-     * @param points    one (load, seed) point per replica
-     */
     BatchSim(const SwitchSpec &spec, const SimConfig &base,
-             std::vector<std::shared_ptr<traffic::TrafficPattern>>
-                 patterns,
+             std::vector<std::shared_ptr<traffic::TrafficPattern>> pats,
              std::vector<BatchPoint> points,
-             const FabricFactory &make_fabric = {});
-
-    /** Attach a fault schedule to every replica. Each lane gets its
-     *  own FaultManager seeded with the lane's BatchPoint seed, so
-     *  lane r's failures, error draws, and isolations reproduce the
-     *  scalar NetworkSim run with that seed bit for bit. Must be
-     *  called before the first step. */
-    void setFaultSchedule(const FaultSchedule &sched);
-
-    /** Warmup + measurement for every lane; results[r] is bit-equal
-     *  to NetworkSim(spec, base with points[r]) .run(). Boundaries
-     *  are absolute (cycle base.warmupCycles and warmup + measure),
-     *  so a restored batch picks up run() mid-flight. */
-    std::vector<SimResult> run();
-
-    /** Advance every replica to absolute cycle @p target, flipping
-     *  the shared measurement window at the exact run() boundaries. */
-    void advanceTo(net::Cycle target);
-
-    std::uint32_t replicas() const { return R_; }
-    net::Cycle now() const { return cycle_; }
-    const FaultManager &faultManager(std::uint32_t r) const
+             const FabricFactory &make_fabric = {})
     {
-        return faultMgrs_[r];
+        for (std::size_t r = 0; r < points.size(); ++r) {
+            SimConfig cfg = base;
+            cfg.injectionRate = points[r].load;
+            cfg.seed = points[r].seed;
+            lanes_.push_back(
+                make_fabric
+                    ? std::make_unique<NetworkSim>(spec, cfg, pats[r],
+                                                   make_fabric())
+                    : std::make_unique<NetworkSim>(spec, cfg, pats[r]));
+        }
     }
 
-    // -- checkpoint/restore ------------------------------------------
+    std::vector<SimResult>
+    run()
+    {
+        std::vector<SimResult> out;
+        for (auto &lane : lanes_)
+            out.push_back(lane->run());
+        return out;
+    }
 
-    /** Serialize the full batch state (all lanes). load() runs on a
-     *  freshly constructed batch with identical spec/config/points/
-     *  patterns/schedule; bit planes are rebuilt. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
-
-    /** Content hash of the batch configuration (spec + base config +
-     *  every lane's point and pattern descriptor + fault descriptor). */
-    std::uint64_t configKey() const;
-
-    /** save()/load() framed through common/snapshot.hh's versioned,
-     *  checksummed file format; false on I/O or validation failure. */
-    bool saveSnapshotFile(const std::string &path) const;
-    bool loadSnapshotFile(const std::string &path);
-
-    /** False while the process-wide cycle tracer is armed: batching
-     *  would interleave the replicas' event streams under one
-     *  thread's trace cycle, so traced runs stay scalar (results are
-     *  bit-identical either way; the trace CI job relies on that). */
-    static bool usable();
+    static bool usable() { return true; }
 
   private:
-    // Per-replica aggregation state, mirroring NetworkSim's
-    // measurement members field for field.
-    struct Lane
-    {
-        net::PacketId nextId = 1;
-        std::uint64_t injected = 0;
-        std::uint64_t delivered = 0;
-        std::uint64_t flitsDelivered = 0;
-        std::uint64_t droppedFlits = 0;
-        std::uint64_t packetsDropped = 0;
-        std::uint64_t measFlitsDelivered = 0;
-        std::uint64_t measFlitsOffered = 0;
-        std::uint64_t measPacketsInjected = 0;
-        std::uint64_t measPacketsCompleted = 0;
-        std::uint64_t measPacketsDropped = 0;
-        RunningStat latency;
-        RunningStat queueing;
-        Histogram latencyHist{4.0, 4096};
-        std::vector<RunningStat> perInputLatency;
-        std::vector<std::uint64_t> perInputPackets;
-
-        void save(snap::Writer &w) const;
-        void load(snap::Reader &r);
-    };
-
-    BitSpan
-    plane(std::vector<BitVec::Word> &buf, std::uint32_t r)
-    {
-        return BitSpan(buf.data() + std::size_t(r) * wpr_, N_);
-    }
-
-    net::InputPort &
-    port(std::uint32_t r, std::uint32_t i)
-    {
-        return ports_[std::size_t(r) * N_ + i];
-    }
-
-    void stepOnce();
-    void injectDrawn(std::uint32_t r);
-    void injectStateful(std::uint32_t r);
-    void injectVirtual(std::uint32_t r);
-    void fillVirtual(std::uint32_t r);
-    void injectPacket(std::uint32_t r, std::uint32_t i,
-                      std::uint32_t dst);
-    void fillPhase(std::uint32_t r);
-    void arbitratePhase(std::uint32_t r);
-    void applyGrant(std::uint32_t r, std::uint32_t i);
-    void transferPhase(std::uint32_t r);
-    /** Replica-r mirror of NetworkSim::handleBroken: drop in-flight
-     *  packets whose channel failed and resync lane r's bit planes. */
-    void handleBroken(std::uint32_t r,
-                      const std::vector<fabric::BrokenConn> &broken);
-    /** Rebuild every bit plane from restored port + fabric state. */
-    void rebuildDerived();
-    net::Cycle warmEnd() const { return base_.warmupCycles; }
-    net::Cycle runEnd() const
-    {
-        return base_.warmupCycles + base_.measureCycles;
-    }
-#ifdef HIRISE_CHECK_ENABLED
-    void checkInvariants(std::uint32_t r);
-#endif
-
-    SwitchSpec spec_;
-    SimConfig base_;
-    std::vector<BatchPoint> pts_;
-    std::uint32_t R_;
-    std::uint32_t N_;   //!< radix
-    std::uint32_t wpr_; //!< plane words per replica
-
-    std::vector<std::shared_ptr<traffic::TrafficPattern>> patterns_;
-    std::vector<std::unique_ptr<fabric::Fabric>> fabrics_;
-    std::vector<net::InputPort> ports_; //!< replica-major, R*N
-
-    // Structure-of-arrays bit planes: R contiguous lanes of wpr_
-    // words each (plane(buf, r) views lane r).
-    std::vector<BitVec::Word> dstFree_;
-    std::vector<BitVec::Word> connected_;
-    std::vector<BitVec::Word> eligible_;
-    std::vector<BitVec::Word> fillPend_;
-
-    /** Injection-lane stream keys, replica-major (replica r's key for
-     *  input i at [r*N + i]): four consecutive inputs of one replica
-     *  share a cycle, so their draws batch four lanes per AVX2 step
-     *  inside the replica's fused phase walk. */
-    std::vector<std::uint64_t> injKeys_;
-    /** Destination-lane stream keys, same replica-major layout,
-     *  handed to TrafficPattern::destRow4 so patterns with draw-based
-     *  destinations hash four source lanes per step too. */
-    std::vector<std::uint64_t> destKeys_;
-    /** participates(i) per (replica, input), replica-major. */
-    std::vector<char> part_;
-    std::vector<std::uint64_t> thr_; //!< per-replica inject threshold
-    bool allMemoryless_;
-
-    // -- virtual source queues (saturated memoryless replicas) -----
-    //
-    // Saturated replicas never materialize their source queues: the
-    // queue contents are a pure function of the counter streams, so
-    // injection is a constant-time accounting bump and only each
-    // input's head packet exists, re-derived on consumption. The
-    // mechanism (and the id/genCycle identity) lives in
-    // sim/virtual_queue.hh, shared with the scalar NetworkSim's
-    // saturation fast path; what it buys here is turning the dominant
-    // saturation cost — pushing ~N packets per cycle per replica into
-    // ring buffers that grow without bound — into
-    // ~deliveries-per-cycle counter hashes, and shrinking the replica
-    // working set by the whole queue footprint.
-    std::vector<char> satVirt_; //!< replica uses virtual queues
-    std::vector<VirtualSourceQueues> satQ_; //!< one per replica
-
-    // Per-cycle scratch shared across replicas (each replica's
-    // arbitration resets its entries before the next replica runs).
-    std::vector<std::uint32_t> reqScratch_;
-    std::vector<std::uint32_t> candVcScratch_;
-    std::vector<std::uint32_t> activeReq_;
-
-    /** Fault machinery live (non-empty schedule attached). */
-    bool faultsOn_ = false;
-    std::vector<FaultManager> faultMgrs_; //!< one per replica
-    std::vector<fabric::BrokenConn> brokenScratch_;
-
-    net::Cycle cycle_ = 0;
-    bool measuring_ = false;
-    net::Cycle measureStart_ = 0;
-    std::vector<Lane> lanes_;
+    std::vector<std::unique_ptr<NetworkSim>> lanes_;
 };
 
 } // namespace hirise::sim

@@ -8,7 +8,7 @@
  * timed events plus flaky-link error processes — and a FaultManager is
  * the per-run state machine that applies it to a fabric. Error draws
  * are counter-based (pure functions of (seed ^ salt, chanId, cycle)),
- * so dense, event-driven, and batched replicas agree bit for bit, and
+ * so dense and event-driven stepping agree bit for bit, and
  * event-mode idle fast-forward composes: transfers only happen on
  * stepped cycles, and scheduled events/unisolations are exposed via
  * nextEventCycle() so the fast-forward clamp never jumps one.

@@ -110,9 +110,7 @@ class NetworkSim
      *  in favour of per-cycle polling (see injHeapOn_): the expected
      *  inter-injection gap is < 1/rate cycles, too short for the
      *  O(log radix) heap churn per injection to pay off. Public so
-     *  the campaign layer routes points the same way: at or below
-     *  this rate the scalar core's heap + idle fast-forward beats the
-     *  batched per-cycle poll, so batching starts above it. */
+     *  benchmarks can tell the two injection regimes apart. */
     static constexpr double kInjHeapMaxRate = 0.125;
 
     NetworkSim(const SwitchSpec &spec, const SimConfig &cfg,

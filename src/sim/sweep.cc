@@ -1,53 +1,14 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/batch_sim.hh"
 
 namespace hirise::sim {
-
-namespace {
-
-std::uint32_t
-batchReplicasFromEnv()
-{
-    if (const char *s = std::getenv("HIRISE_BATCH")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(s, &end, 10);
-        if (end != s && *end == '\0' && v <= 64)
-            return static_cast<std::uint32_t>(v);
-    }
-    return 8;
-}
-
-std::atomic<std::uint32_t> &
-batchReplicasSlot()
-{
-    static std::atomic<std::uint32_t> slot{batchReplicasFromEnv()};
-    return slot;
-}
-
-} // namespace
-
-std::uint32_t
-batchReplicas()
-{
-    return batchReplicasSlot().load(std::memory_order_relaxed);
-}
-
-void
-setBatchReplicas(std::uint32_t replicas)
-{
-    batchReplicasSlot().store(std::min(replicas, 64u),
-                              std::memory_order_relaxed);
-}
 
 SimResult
 runAtLoad(const SwitchSpec &spec, const SimConfig &base,
@@ -88,7 +49,7 @@ runPointsCached(const SwitchSpec &spec, const SimConfig &base,
 
     // Per-point config + cache probe. The descriptor is a function of
     // constructor parameters only, so one instance describes every
-    // replica built from the same factory.
+    // pattern built from the same factory.
     const std::string desc = make()->descriptor();
     std::vector<SimConfig> cfgs(pts.size(), base);
     std::vector<std::uint64_t> keys(pts.size());
@@ -103,73 +64,19 @@ runPointsCached(const SwitchSpec &spec, const SimConfig &base,
     if (misses.empty())
         return results;
 
-    // Group the misses: batchable points (above the scalar core's
-    // heap-mode rate ceiling, batching enabled, no tracer armed) in
-    // chunks of up to B lanes, the rest as singleton scalar runs.
-    const std::uint32_t B = batchReplicas();
-    const bool batching =
-        B > 1 && !base.trace && BatchSim::usable();
-    std::vector<std::vector<std::size_t>> groups;
-    std::vector<std::size_t> open;
-    for (std::size_t i : misses) {
-        if (batching && pts[i].load > NetworkSim::kInjHeapMaxRate) {
-            open.push_back(i);
-            if (open.size() == B) {
-                groups.push_back(open);
-                open.clear();
-            }
-        } else {
-            groups.push_back({i});
-        }
-    }
-    if (!open.empty())
-        groups.push_back(open);
-
-    auto eval = [&](const std::vector<std::size_t> &g)
-        -> std::vector<SimResult> {
-        if (g.size() == 1) {
-            NetworkSim sim(spec, cfgs[g[0]], make());
-            return {sim.run()};
-        }
-        std::vector<std::shared_ptr<traffic::TrafficPattern>> pats;
-        std::vector<BatchPoint> bpts;
-        pats.reserve(g.size());
-        bpts.reserve(g.size());
-        for (std::size_t i : g) {
-            pats.push_back(make());
-            bpts.push_back({pts[i].load, pts[i].seed});
-        }
-        BatchSim sim(spec, base, std::move(pats), std::move(bpts));
+    auto eval = [&](std::size_t i) {
+        NetworkSim sim(spec, cfgs[i], make());
         return sim.run();
     };
-    std::vector<std::vector<SimResult>> ran =
-        parallelMap(groups, eval, opt.maxThreads, opt.pool);
-
-    std::uint64_t batch_runs = 0, batch_lanes = 0, scalar_runs = 0;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const auto &g = groups[gi];
-        if (g.size() > 1) {
-            ++batch_runs;
-            batch_lanes += g.size();
-        } else {
-            ++scalar_runs;
-        }
-        for (std::size_t j = 0; j < g.size(); ++j) {
-            results[g[j]] = ran[gi][j];
-            c.store(keys[g[j]], results[g[j]]);
-        }
+    std::vector<SimResult> ran =
+        parallelMap(misses, eval, opt.maxThreads, opt.pool);
+    for (std::size_t j = 0; j < misses.size(); ++j) {
+        results[misses[j]] = std::move(ran[j]);
+        c.store(keys[misses[j]], results[misses[j]]);
     }
     if (obs::on()) [[unlikely]] {
-        auto &reg = obs::MetricsRegistry::global();
-        reg.counter("campaign.batch.runs").inc(batch_runs);
-        reg.counter("campaign.batch.lanes").inc(batch_lanes);
-        reg.counter("campaign.batch.scalar_runs").inc(scalar_runs);
-        reg.gauge("campaign.batch.width").set(double(B));
-        if (batch_runs > 0) {
-            reg.gauge("campaign.batch.occupancy")
-                .set(double(batch_lanes) / double(batch_runs * B));
-        }
-        reg.gauge("simd.tier")
+        obs::MetricsRegistry::global()
+            .gauge("simd.tier")
             .set(double(static_cast<int>(simd::activeTier())));
     }
     return results;
@@ -182,8 +89,7 @@ loadSweep(const SwitchSpec &spec, const SimConfig &base,
 {
     // Each point is an independent, self-seeded simulation; the shard
     // seed (when enabled) depends only on (base seed, index), never on
-    // thread count or completion order. Cache misses run through the
-    // batched engine in groups (bit-identical to per-point runs).
+    // thread count or completion order.
     std::vector<RunPoint> pts(loads.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
         pts[i].load = loads[i];
@@ -266,9 +172,8 @@ saturationLoadSpeculative(const SwitchSpec &spec, const SimConfig &base,
         int d = std::min(spec_depth, iters - done);
         mids.clear();
         speculationTree(lo, hi, d, mids);
-        // The whole speculation tree is one point family, so its
-        // cache misses batch into BatchSim lanes instead of 2^d - 1
-        // independent scalar runs.
+        // The whole speculation tree is one point family: its cache
+        // misses run as 2^d - 1 concurrent pool tasks.
         std::vector<RunPoint> tree(mids.size());
         for (std::size_t i = 0; i < mids.size(); ++i)
             tree[i] = RunPoint{mids[i], base.seed};

@@ -48,8 +48,8 @@ struct SweepPoint
     SimResult result;
 };
 
-/** One cached evaluation request for the batched runner: a (load,
- *  seed) point of a common (spec, cfg, pattern) family. */
+/** One cached evaluation request for runPointsCached: a (load, seed)
+ *  point of a common (spec, cfg, pattern) family. */
 struct RunPoint
 {
     double load = 0.0;
@@ -57,23 +57,10 @@ struct RunPoint
 };
 
 /**
- * Replica lanes per batched simulation (sim::BatchSim). Default 8,
- * overridable by the HIRISE_BATCH environment variable at process
- * start and by setBatchReplicas() (the harness --replicas flag).
- * A value of 0 or 1 disables batching: every point runs scalar.
- */
-std::uint32_t batchReplicas();
-void setBatchReplicas(std::uint32_t replicas);
-
-/**
  * Evaluate many (load, seed) points of one (spec, cfg, pattern)
- * family, memoized through @p opt.cache. Cache misses are grouped
- * into BatchSim runs of up to batchReplicas() lanes; points at or
- * below NetworkSim::kInjHeapMaxRate, singleton groups, and runs under
- * an armed tracer fall back to scalar NetworkSim. Either engine
- * produces bit-identical SimResults (tests/batch_test.cc), so the
- * cache never observes which one served a point. Results are
- * index-ordered and deterministic for any thread count.
+ * family, memoized through @p opt.cache. Each cache miss is one pool
+ * task running a scalar NetworkSim. Results are index-ordered and
+ * deterministic for any thread count.
  */
 std::vector<SimResult>
 runPointsCached(const SwitchSpec &spec, const SimConfig &base,

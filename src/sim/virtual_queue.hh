@@ -1,7 +1,7 @@
 /**
  * @file
- * Virtual source queues: the saturated-injection fast path shared by
- * the scalar NetworkSim and the batched BatchSim engines.
+ * Virtual source queues: the scalar NetworkSim's saturated-injection
+ * fast path.
  *
  * At offered load >= 1 every Bernoulli draw passes
  * (bernoulliThreshold saturates at 2^53), so each participating input
@@ -18,7 +18,7 @@
  * Requires a memoryless pattern (injectAt/destAt are pure hashes of
  * (input, cycle, seed)); stateful patterns keep the legacy queued
  * path. Bit-identity with that path is enforced by
- * tests/sat_fastpath_test.cc and tests/batch_test.cc.
+ * tests/sat_fastpath_test.cc.
  */
 
 #ifndef HIRISE_SIM_VIRTUAL_QUEUE_HH
@@ -35,9 +35,9 @@
 
 namespace hirise::sim {
 
-/** HIRISE_LEGACY_SAT_QUEUES=1 pins the legacy queued saturation path
- *  in both engines — the A/B knob for perf work (results are
- *  bit-identical either way). Read once per process. */
+/** HIRISE_LEGACY_SAT_QUEUES=1 pins the legacy queued saturation
+ *  path — the A/B knob for perf work (results are bit-identical
+ *  either way). Read once per process. */
 inline bool
 legacySatQueuesPinned()
 {
@@ -54,8 +54,7 @@ class VirtualSourceQueues
     /** True when @p load saturates the injection Bernoulli (every
      *  draw passes, i.e. load >= 1) — the precondition for the
      *  virtual-queue identity. The pattern must also be memoryless;
-     *  callers check that separately since BatchSim requires it
-     *  across all replicas. */
+     *  callers check that separately. */
     static bool
     saturates(double load)
     {

@@ -129,9 +129,8 @@ runCampaign(const CampaignSpec &spec, const RunCampaignOptions &opt)
     if (checkpointed)
         desc = make()->descriptor();
 
-    std::size_t shard = opt.shardPoints;
-    if (shard == 0)
-        shard = std::max<std::size_t>(2 * sim::batchReplicas(), 2);
+    const std::size_t shard =
+        opt.shardPoints ? opt.shardPoints : kDefaultShardPoints;
 
     for (std::size_t first = 0; first < pts.size(); first += shard) {
         if (opt.cancelled && opt.cancelled()) {

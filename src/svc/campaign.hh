@@ -1,7 +1,7 @@
 /**
  * @file
  * Campaign execution for the service layer: evaluate a CampaignSpec's
- * (load, seed) grid through the shared SimCache + BatchSim path
+ * (load, seed) grid through the shared SimCache path
  * (sim::runPointsCached) and stream results back incrementally as
  * serialized JSON rows in deterministic point order.
  *
@@ -38,6 +38,10 @@ namespace hirise::svc {
 std::string resultRow(std::size_t index, const sim::RunPoint &pt,
                       const sim::SimResult &r);
 
+/** Points per streaming shard when RunCampaignOptions::shardPoints
+ *  is 0; the daemon's svc.points_inflight gauge uses the same value. */
+constexpr std::size_t kDefaultShardPoints = 16;
+
 /** Execution knobs for runCampaign (wired from daemon flags/env). */
 struct RunCampaignOptions
 {
@@ -48,7 +52,7 @@ struct RunCampaignOptions
     std::string snapshotDir;
     /** Points per streaming shard: each shard runs through
      *  runPointsCached as one unit, then its rows are emitted and the
-     *  cancel flag is polled. 0 = default (2x batch lanes). */
+     *  cancel flag is polled. 0 = kDefaultShardPoints. */
     std::size_t shardPoints = 0;
     /** Polled between shards (and between checkpoint slices on the
      *  checkpointed path); returning true abandons remaining work. */
@@ -72,8 +76,8 @@ struct CampaignOutcome
 
 /**
  * Evaluate @p spec's full grid in order, emitting rows shard by
- * shard. Points run through sim::runPointsCached (warm SimCache,
- * BatchSim grouping) unless the spec requests checkpointing, in which
+ * shard. Points run through sim::runPointsCached (warm SimCache, one
+ * pool task per miss) unless the spec requests checkpointing, in which
  * case each point runs scalar with a snapshot saved every
  * spec.checkpointCycles cycles under opt.snapshotDir (resumed
  * automatically when a snapshot for the point already exists, deleted

@@ -69,7 +69,7 @@ struct CampaignSpec
     /** When > 0 (and the job has a snapshot dir), points run through
      *  the checkpointed scalar path: a PR-9 snapshot keyed per point
      *  is written every this-many cycles, so a killed daemon resumes
-     *  mid-point with bit-identical output. 0 = batched path, no
+     *  mid-point with bit-identical output. 0 = runPointsCached, no
      *  checkpoints. */
     std::uint64_t checkpointCycles = 0;
 

@@ -249,9 +249,8 @@ Server::dispatcherLoop()
                 job->pointsDone = job->rows.size();
                 m.gauge("svc.points_inflight")
                     .set(double(std::min(
-                        opt_.shardPoints
-                            ? opt_.shardPoints
-                            : 2 * std::size_t(sim::batchReplicas()),
+                        opt_.shardPoints ? opt_.shardPoints
+                                         : kDefaultShardPoints,
                         job->pointsTotal - job->pointsDone)));
             }
             wake();

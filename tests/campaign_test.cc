@@ -4,6 +4,7 @@
  * saturation search must produce bit-identical results for any pool
  * size (1, 2, 8), and the speculative bisection must return exactly
  * the serial bisection's answer on the paper's switch configurations.
+ * Also pins the service layer's default streaming shard.
  */
 
 #include <vector>
@@ -12,6 +13,7 @@
 
 #include "common/thread_pool.hh"
 #include "sim/sweep.hh"
+#include "svc/campaign.hh"
 #include "traffic/pattern.hh"
 
 namespace hirise {
@@ -195,6 +197,34 @@ TEST(Campaign, SpeculativeDepthOneDegeneratesToSerialSchedule)
                                    uniformFactory(64), 0.0, 0.5, 6, 1,
                                    opt);
     EXPECT_EQ(cache.stats().misses, 6u);
+}
+
+TEST(Campaign, DefaultShardStreamsSixteenPointChunks)
+{
+    // shardPoints = 0 means svc::kDefaultShardPoints: a 40-point job
+    // streams as chunks of 16, 16 and 8 rows.
+    svc::CampaignSpec spec;
+    spec.sw.topo = Topology::Flat2D;
+    spec.sw.radix = 8;
+    spec.sw.arb = ArbScheme::Lrg;
+    spec.cfg.warmupCycles = 20;
+    spec.cfg.measureCycles = 80;
+    spec.loads = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
+    spec.seeds = {1, 2, 3, 4};
+    ASSERT_EQ(spec.points().size(), 40u);
+
+    sim::SimCache cache(64);
+    svc::RunCampaignOptions opt;
+    opt.cache = &cache;
+    std::vector<std::size_t> firsts, sizes;
+    opt.onRows = [&](std::size_t first, std::vector<std::string> rows) {
+        firsts.push_back(first);
+        sizes.push_back(rows.size());
+    };
+    svc::CampaignOutcome out = svc::runCampaign(spec, opt);
+    EXPECT_EQ(out.pointsDone, 40u);
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{16, 16, 8}));
+    EXPECT_EQ(firsts, (std::vector<std::size_t>{0, 16, 32}));
 }
 
 } // namespace

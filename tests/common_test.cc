@@ -294,17 +294,17 @@ TEST(SwitchSpec, ValidateAcceptsPaperConfigs)
 }
 
 // ---------------------------------------------------------------------
-// Counter-based streams (replica-lane addressing for BatchSim)
+// Counter-based streams (per-(seed, lane) addressing)
 // ---------------------------------------------------------------------
 
 TEST(CounterStream, KeyGridHasNoCollisions)
 {
-    // The batched engine addresses one stream per (replica seed,
-    // traffic lane): injKeys_[r*N + i] = counterKey(seed_r, lane).
-    // A key collision would make two replica lanes flip identical
-    // injection coins forever, so every key across a campaign-shaped
-    // grid (base seeds x 8 shard-derived replica seeds x 256 inputs
-    // x 3 draw domains) must be distinct.
+    // Every run addresses one stream per (seed, traffic lane):
+    // counterKey(seed, lane). A key collision would make two sharded
+    // points or two inputs flip identical injection coins forever, so
+    // every key across a campaign-shaped grid (base seeds x 8
+    // shard-derived seeds x 256 inputs x 3 draw domains) must be
+    // distinct.
     std::set<std::uint64_t> keys;
     std::size_t total = 0;
     for (std::uint64_t base : {1ull, 42ull, 0xdeadbeefull}) {
@@ -321,9 +321,9 @@ TEST(CounterStream, KeyGridHasNoCollisions)
 
 TEST(CounterStream, DrawGridHasNoCollisions)
 {
-    // Dense (lane, tick) window over adjacent replica seeds: all draws
+    // Dense (lane, tick) window over adjacent shard seeds: all draws
     // distinct, i.e. adjacent lanes and adjacent cycles never share a
-    // value in the windows a batched run actually evaluates.
+    // value in the windows a run actually evaluates.
     std::set<std::uint64_t> draws;
     std::size_t total = 0;
     for (std::uint64_t r = 0; r < 4; ++r) {
@@ -341,7 +341,7 @@ TEST(CounterStream, DrawGridHasNoCollisions)
 
 TEST(CounterStream, KeyedDrawMatchesSplitmixStride)
 {
-    // Locks the algebra the 4-wide transpose kernel depends on:
+    // Locks the stream algebra:
     // counterDrawKeyed(key, t) == splitmix64(key + kCounterTickMul*t),
     // and the (seed, lane, tick) form factors through counterKey.
     static_assert(counterDraw(1, 2, 3) ==
@@ -357,7 +357,7 @@ TEST(CounterStream, KeyedDrawMatchesSplitmixStride)
 
 TEST(CounterStream, AdjacentLanesAreDecorrelated)
 {
-    // Neighbouring replica lanes at the same tick should look like
+    // Neighbouring lanes at the same tick should look like
     // independent 64-bit draws: mean Hamming distance near 32 bits.
     double bits = 0;
     int pairs = 0;
@@ -377,8 +377,8 @@ TEST(CounterStream, AdjacentLanesAreDecorrelated)
 
 TEST(CounterStream, SaturationThresholdPassesEveryDraw)
 {
-    // BatchSim's all-saturated fast path skips the draw entirely; it
-    // is only sound if p >= 1 admits every possible draw.
+    // The saturation fast path (sim/virtual_queue.hh) skips the draw
+    // entirely; it is only sound if p >= 1 admits every possible draw.
     EXPECT_EQ(bernoulliThreshold(1.0), 1ull << 53);
     EXPECT_TRUE(counterBernoulli(~0ull, 1.0));
     EXPECT_TRUE(counterBernoulli(0, 1.0));

@@ -2,8 +2,9 @@
  * @file
  * SimCache tests: key stability and sensitivity, hit/miss/stores
  * accounting, LRU eviction, the on-disk tier (round-trip through a
- * fresh cache instance, i.e. a simulated second process run), and
- * version-tag invalidation of stale disk records.
+ * fresh cache instance, i.e. a simulated second process run),
+ * version-tag invalidation of stale disk records, and the cached
+ * campaign runner (runPointsCached) against per-point scalar runs.
  */
 
 #include <atomic>
@@ -273,6 +274,53 @@ TEST(RunAtLoadCached, SecondCallIsServedFromCache)
     // And the cached value matches an uncached run exactly.
     auto fresh = sim::runAtLoad(spec, cfg, uniformFactory(16), 0.2);
     expectSameResult(r2, fresh);
+}
+
+TEST(RunPointsCached, MatchesScalarAndPopulatesCache)
+{
+    SwitchSpec spec;
+    spec.topo = Topology::HiRise;
+    spec.radix = 64;
+    spec.layers = 4;
+    spec.channels = 4;
+    spec.arb = ArbScheme::Clrg;
+    sim::SimConfig base;
+    base.warmupCycles = 150;
+    base.measureCycles = 600;
+
+    // Spans both injection regimes of the scalar core: at/below
+    // NetworkSim::kInjHeapMaxRate (event heap) and above it (polling,
+    // saturation fast path at 1.0).
+    std::vector<sim::RunPoint> pts;
+    for (double load : {0.05, 0.125, 0.2, 0.4, 0.7, 1.0})
+        for (std::uint64_t seed : {99ull, 7ull})
+            pts.push_back({load, seed});
+
+    sim::SimCache cache(64);
+    sim::CampaignOptions opt;
+    opt.cache = &cache;
+    auto got = sim::runPointsCached(spec, base, uniformFactory(64), pts,
+                                    opt);
+    ASSERT_EQ(got.size(), pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        sim::SimConfig cfg = base;
+        cfg.seed = pts[i].seed;
+        expectSameResult(got[i], sim::runAtLoad(spec, cfg,
+                                                uniformFactory(64),
+                                                pts[i].load));
+    }
+    EXPECT_EQ(cache.stats().misses, pts.size());
+    EXPECT_EQ(cache.stats().stores, pts.size());
+
+    // A second evaluation is served entirely from the cache and
+    // repeats the same results.
+    auto again = sim::runPointsCached(spec, base, uniformFactory(64),
+                                      pts, opt);
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        expectSameResult(again[i], got[i]);
+    EXPECT_EQ(cache.stats().misses, pts.size());
+    EXPECT_EQ(cache.stats().hits, pts.size());
 }
 
 TEST(SimCacheDisk, EvictionEnforcesSizeCap)

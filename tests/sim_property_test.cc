@@ -27,6 +27,15 @@ struct Config
     double load;
 };
 
+// Without this gtest prints Config as a byte dump that starts with the
+// label's heap pointer, and ctest's discovered test name (which carries
+// that dump) would change on every build.
+void
+PrintTo(const Config &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 SwitchSpec
 mk(Topology topo, std::uint32_t radix, std::uint32_t layers,
    std::uint32_t channels, ArbScheme arb,

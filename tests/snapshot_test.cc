@@ -3,8 +3,8 @@
  * Checkpoint/restore: a run interrupted at an arbitrary cycle,
  * snapshotted to a versioned binary file, restored into a freshly
  * constructed simulator, and run to completion must be bit-identical
- * to the uninterrupted run — in dense, event-driven, and batched
- * stepping modes, with and without an active fault schedule, and at
+ * to the uninterrupted run — in dense and event-driven stepping
+ * modes, with and without an active fault schedule, and at
  * snapshot points inside warmup, inside the measurement window, and
  * mid-fault-sequence. Cross-configuration restores are rejected via
  * the embedded config key.
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/batch_sim.hh"
 #include "sim/fault.hh"
 #include "sim/network_sim.hh"
 #include "traffic/pattern.hh"
@@ -170,83 +169,6 @@ TEST(Snapshot, SaturationFastPathRoundTrip)
     // load >= 1 takes the virtual-source-queue path; its accounting
     // state must survive the round trip too.
     roundTripScalar(1.0, false, true, 400, "sat_faults");
-}
-
-TEST(Snapshot, BatchedRoundTripIsBitIdentical)
-{
-    auto mk = [&] {
-        std::vector<sim::BatchPoint> pts{
-            {0.3, 1}, {1.0, 2}, {0.05, 3}, {0.6, 42}};
-        std::vector<std::shared_ptr<TrafficPattern>> pats;
-        for (std::size_t r = 0; r < pts.size(); ++r)
-            pats.push_back(
-                std::make_shared<traffic::UniformRandom>(64));
-        auto s = std::make_unique<sim::BatchSim>(
-            hiriseSpec(), cfgAt(0.0, false), std::move(pats), pts);
-        s->setFaultSchedule(faultySchedule());
-        return s;
-    };
-
-    auto whole = mk();
-    auto expect = whole->run();
-
-    for (net::Cycle cut : {100u, 299u, 500u}) {
-        SCOPED_TRACE("cut@" + std::to_string(cut));
-        std::string path = tmpPath("batch");
-        auto first = mk();
-        first->advanceTo(cut);
-        ASSERT_TRUE(first->saveSnapshotFile(path));
-
-        auto second = mk();
-        ASSERT_TRUE(second->loadSnapshotFile(path));
-        EXPECT_EQ(second->now(), cut);
-        auto got = second->run();
-
-        ASSERT_EQ(expect.size(), got.size());
-        for (std::size_t r = 0; r < expect.size(); ++r) {
-            SCOPED_TRACE("lane " + std::to_string(r));
-            expectSame(expect[r], got[r]);
-        }
-        std::remove(path.c_str());
-    }
-}
-
-TEST(Snapshot, RestoredRunMatchesScalarPeers)
-{
-    // Transitivity spot-check: a restored batched lane still matches
-    // the scalar run of the same point (restore must not break the
-    // batched-vs-scalar identity).
-    std::vector<sim::BatchPoint> pts{{0.6, 7}, {0.9, 8}};
-    auto sched = faultySchedule();
-    auto mk = [&] {
-        std::vector<std::shared_ptr<TrafficPattern>> pats;
-        for (std::size_t r = 0; r < pts.size(); ++r)
-            pats.push_back(
-                std::make_shared<traffic::UniformRandom>(64));
-        auto s = std::make_unique<sim::BatchSim>(
-            hiriseSpec(), cfgAt(0.0, false), pats, pts);
-        s->setFaultSchedule(sched);
-        return s;
-    };
-    std::string path = tmpPath("transitive");
-    auto first = mk();
-    first->advanceTo(250);
-    ASSERT_TRUE(first->saveSnapshotFile(path));
-    auto second = mk();
-    ASSERT_TRUE(second->loadSnapshotFile(path));
-    auto got = second->run();
-    std::remove(path.c_str());
-
-    for (std::size_t r = 0; r < pts.size(); ++r) {
-        SCOPED_TRACE("lane " + std::to_string(r));
-        sim::SimConfig cfg = cfgAt(pts[r].load, false);
-        cfg.seed = pts[r].seed;
-        sim::NetworkSim scalar(
-            hiriseSpec(), cfg,
-            std::make_shared<traffic::UniformRandom>(64));
-        scalar.setFaultSchedule(sched);
-        expectSame(scalar.run(), got[r]);
-    }
 }
 
 TEST(Snapshot, RejectsConfigMismatch)

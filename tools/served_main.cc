@@ -3,7 +3,7 @@
  * hirise_served — the persistent campaign daemon (docs/SERVICE.md).
  *
  *   hirise_served [--socket PATH] [--tcp PORT] [--snapshot-dir DIR]
- *                 [--shard N] [--max-queue N] [--replicas N]
+ *                 [--shard N] [--max-queue N]
  *
  * Listens on a unix socket (default $HIRISE_SVC_SOCKET, else
  * /tmp/hirise_served.sock) for framed JSON requests from
@@ -21,7 +21,6 @@
 #include <string>
 #include <unistd.h>
 
-#include "sim/sweep.hh"
 #include "svc/server.hh"
 
 namespace {
@@ -53,7 +52,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--socket PATH] [--tcp PORT] [--snapshot-dir DIR]\n"
-        "          [--shard N] [--max-queue N] [--replicas N]\n"
+        "          [--shard N] [--max-queue N]\n"
         "  --socket PATH    unix socket (default $HIRISE_SVC_SOCKET\n"
         "                   or /tmp/hirise_served.sock)\n"
         "  --tcp PORT       also listen on 127.0.0.1:PORT (-1 for an\n"
@@ -61,9 +60,8 @@ usage(const char *argv0)
         "  --snapshot-dir D per-point checkpoint snapshots for specs\n"
         "                   with checkpoint_cycles > 0\n"
         "  --shard N        points per streaming shard\n"
-        "                   (default $HIRISE_SVC_SHARD or 2x lanes)\n"
-        "  --max-queue N    queued-job cap (default 64)\n"
-        "  --replicas N     BatchSim lanes (default $HIRISE_BATCH)\n",
+        "                   (default $HIRISE_SVC_SHARD or 16)\n"
+        "  --max-queue N    queued-job cap (default 64)\n",
         argv0);
     return 2;
 }
@@ -102,9 +100,6 @@ main(int argc, char **argv)
         } else if (a == "--max-queue") {
             opt.maxQueuedJobs =
                 std::strtoul(value("--max-queue"), nullptr, 10);
-        } else if (a == "--replicas") {
-            sim::setBatchReplicas(static_cast<std::uint32_t>(
-                std::strtoul(value("--replicas"), nullptr, 10)));
         } else if (a == "--help" || a == "-h") {
             return usage(argv[0]);
         } else {
