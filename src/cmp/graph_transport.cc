@@ -12,10 +12,9 @@ GraphTransport::GraphTransport(std::shared_ptr<noc::Topology> topo,
       deliver_(std::move(deliver))
 {
     net_.setDeliverFn([this](std::uint64_t tag) {
-        auto it = inFlight_.find(tag);
-        sim_assert(it != inFlight_.end(), "unknown delivery tag");
-        Message m = it->second;
-        inFlight_.erase(it);
+        sim_assert(tag < inFlight_.size(), "unknown delivery tag");
+        Message m = inFlight_[tag];
+        freeSlots_.push_back(static_cast<std::uint32_t>(tag));
         ++delivered_;
         deliver_(m);
     });
@@ -24,8 +23,15 @@ GraphTransport::GraphTransport(std::shared_ptr<noc::Topology> topo,
 void
 GraphTransport::send(const Message &m)
 {
-    std::uint64_t tag = nextTag_++;
-    inFlight_.emplace(tag, m);
+    std::uint32_t tag;
+    if (freeSlots_.empty()) {
+        tag = static_cast<std::uint32_t>(inFlight_.size());
+        inFlight_.push_back(m);
+    } else {
+        tag = freeSlots_.back();
+        freeSlots_.pop_back();
+        inFlight_[tag] = m;
+    }
     net_.sendTagged(m.srcTile, m.dstTile, m.lenFlits(), tag);
 }
 

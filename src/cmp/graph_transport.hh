@@ -9,7 +9,7 @@
 #ifndef HIRISE_CMP_GRAPH_TRANSPORT_HH
 #define HIRISE_CMP_GRAPH_TRANSPORT_HH
 
-#include <unordered_map>
+#include <vector>
 
 #include "cmp/transport.hh"
 #include "noc/graph_noc.hh"
@@ -34,8 +34,11 @@ class GraphTransport : public Transport
   private:
     noc::GraphNoc net_;
     DeliverFn deliver_;
-    std::unordered_map<std::uint64_t, Message> inFlight_;
-    std::uint64_t nextTag_ = 1;
+    /** In-flight messages; a packet's tag is its slot index. Freed
+     *  slots are reused, so the vector stops growing at the peak
+     *  number of messages in flight. */
+    std::vector<Message> inFlight_;
+    std::vector<std::uint32_t> freeSlots_;
     std::uint64_t delivered_ = 0;
 };
 

@@ -4,12 +4,24 @@ namespace hirise::cmp {
 
 MsgSwitch::MsgSwitch(const SwitchSpec &spec, std::uint32_t num_vcs,
                      DeliverFn deliver)
-    : spec_(spec), fabric_(fabric::makeFabric(spec)),
-      deliver_(std::move(deliver))
+    : MsgSwitch(spec, num_vcs, std::move(deliver),
+                fabric::makeFabric(spec))
 {
-    ports_.resize(spec.radix);
-    for (auto &p : ports_)
-        p.vcs.resize(num_vcs);
+}
+
+MsgSwitch::MsgSwitch(const SwitchSpec &spec, std::uint32_t num_vcs,
+                     DeliverFn deliver,
+                     std::unique_ptr<fabric::Fabric> fabric)
+    : spec_(spec), numVcs_(num_vcs), fabric_(std::move(fabric)),
+      deliver_(std::move(deliver)), ports_(spec.radix),
+      vcs_(std::size_t(spec.radix) * num_vcs), eligible_(spec.radix),
+      connected_(spec.radix), req_(spec.radix, fabric::kNoRequest),
+      cand_(spec.radix, 0)
+{
+    sim_assert(num_vcs >= 1, "a port needs at least one VC");
+    sim_assert(fabric_ && fabric_->radix() == spec.radix,
+               "fabric radix does not match the switch");
+    active_.reserve(spec.radix);
 }
 
 void
@@ -19,87 +31,99 @@ MsgSwitch::send(const Message &m)
                "message endpoints out of range");
     sim_assert(m.srcTile != m.dstTile,
                "tile-local traffic must not enter the switch");
-    Port &p = ports_[m.srcTile];
     // Join the shortest VC queue (stable for equal lengths).
-    std::size_t best = 0;
-    for (std::size_t v = 1; v < p.vcs.size(); ++v) {
-        if (p.vcs[v].size() < p.vcs[best].size())
-            best = v;
+    RingBuffer<Message> *best = &vc(m.srcTile, 0);
+    for (std::uint32_t v = 1; v < numVcs_; ++v) {
+        RingBuffer<Message> &q = vc(m.srcTile, v);
+        if (q.size() < best->size())
+            best = &q;
     }
-    p.vcs[best].push_back(m);
+    best->push_back(m);
+    ++ports_[m.srcTile].queued;
+    ++backlog_;
+    if (!connected_[m.srcTile])
+        eligible_.set(m.srcTile);
 }
 
-std::uint64_t
-MsgSwitch::backlogMessages() const
+void
+MsgSwitch::arbitrate()
 {
-    std::uint64_t n = 0;
-    for (const auto &p : ports_)
-        for (const auto &vc : p.vcs)
-            n += vc.size();
-    return n;
+    // Each eligible port requests the output of the first VC, in
+    // round-robin order, whose head's output is free. Ports without a
+    // request leave their round-robin pointer untouched.
+    active_.clear();
+    eligible_.forEachSet([&](std::uint32_t i) {
+        Port &p = ports_[i];
+        std::uint32_t v = p.rr;
+        for (std::uint32_t k = 0; k < numVcs_; ++k) {
+            const RingBuffer<Message> &q = vc(i, v);
+            if (!q.empty() && !fabric_->outputBusy(q.front().dstTile)) {
+                cand_[i] = v;
+                req_[i] = q.front().dstTile;
+                p.rr = v + 1 == numVcs_ ? 0 : v + 1;
+                active_.push_back(i);
+                return;
+            }
+            if (++v == numVcs_)
+                v = 0;
+        }
+    });
+    if (active_.empty()) {
+        // An all-kNoRequest arbitrate() is state-neutral in every
+        // fabric; skip it and account the idle call for stats parity.
+        fabric_->advanceIdle(1);
+        return;
+    }
+
+    const BitVec &grant = fabric_->arbitrateActive(req_, active_);
+    grant.forEachSet([&](std::uint32_t i) {
+        Connection &c = ports_[i].conn;
+        c.justGranted = true;
+        c.vc = cand_[i];
+        c.output = req_[i];
+        c.flitsLeft = vc(i, c.vc).front().lenFlits();
+        eligible_.reset(i);
+        connected_.set(i);
+    });
+    for (std::uint32_t i : active_)
+        req_[i] = fabric::kNoRequest;
+}
+
+void
+MsgSwitch::transfer()
+{
+    // Data transfer for connections granted in earlier cycles, in
+    // ascending port order. Resetting the current bit inside
+    // forEachSet is safe: iteration walks a copy of each word.
+    connected_.forEachSet([&](std::uint32_t i) {
+        Port &p = ports_[i];
+        if (p.conn.justGranted) {
+            p.conn.justGranted = false;
+            return;
+        }
+        ++flitsDelivered_;
+        if (--p.conn.flitsLeft != 0)
+            return;
+        RingBuffer<Message> &q = vc(i, p.conn.vc);
+        Message m = q.front();
+        q.pop_front();
+        fabric_->release(i, p.conn.output);
+        connected_.reset(i);
+        --backlog_;
+        if (--p.queued != 0)
+            eligible_.set(i);
+        ++delivered_;
+        deliver_(m);
+    });
 }
 
 void
 MsgSwitch::step()
 {
-    const std::uint32_t n = spec_.radix;
-
-    // Arbitration for idle ports.
-    std::vector<std::uint32_t> req(n, fabric::kNoRequest);
-    std::vector<std::uint32_t> cand(n, ~0u);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        Port &p = ports_[i];
-        if (p.conn.active)
-            continue;
-        const std::uint32_t vcs = static_cast<std::uint32_t>(
-            p.vcs.size());
-        for (std::uint32_t k = 0; k < vcs; ++k) {
-            std::uint32_t v = (p.rr + k) % vcs;
-            if (p.vcs[v].empty())
-                continue;
-            std::uint32_t dst = p.vcs[v].front().dstTile;
-            if (fabric_->outputBusy(dst))
-                continue;
-            cand[i] = v;
-            req[i] = dst;
-            p.rr = (v + 1) % vcs;
-            break;
-        }
-    }
-    const auto &grant = fabric_->arbitrate(req);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        if (!grant[i])
-            continue;
-        Port &p = ports_[i];
-        p.conn.active = true;
-        p.conn.justGranted = true;
-        p.conn.vc = cand[i];
-        p.conn.output = req[i];
-        p.conn.flitsLeft = p.vcs[cand[i]].front().lenFlits();
-    }
-
-    // Data transfer for connections granted in earlier cycles.
-    for (std::uint32_t i = 0; i < n; ++i) {
-        Port &p = ports_[i];
-        if (!p.conn.active)
-            continue;
-        if (p.conn.justGranted) {
-            p.conn.justGranted = false;
-            continue;
-        }
-        ++flitsDelivered_;
-        if (--p.conn.flitsLeft == 0) {
-            Message m = p.vcs[p.conn.vc].front();
-            p.vcs[p.conn.vc].pop_front();
-            fabric_->release(i, p.conn.output);
-            p.conn.active = false;
-            ++delivered_;
-            deliver_(m);
-        }
-    }
-
+    arbitrate();
+    transfer();
     ++cycles_;
-    backlogAccum_ += static_cast<double>(backlogMessages());
+    backlogAccum_ += static_cast<double>(backlog_);
 }
 
 } // namespace hirise::cmp

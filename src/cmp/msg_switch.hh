@@ -5,17 +5,25 @@
  * open-loop NetworkSim (connection-held, one arbitration cycle, one
  * flit per data cycle), but fed by tile events and delivering whole
  * messages to a callback.
+ *
+ * The step loop follows NetworkSim's event core: only eligible ports
+ * (idle, with a queued message) are scanned, the fabric sees the
+ * ascending list of requesting ports, a request-free cycle is
+ * accounted with advanceIdle() instead of an all-idle arbitration,
+ * and the backlog is kept as a running count. Nothing allocates once
+ * the VC rings have reached their high-water size.
  */
 
 #ifndef HIRISE_CMP_MSG_SWITCH_HH
 #define HIRISE_CMP_MSG_SWITCH_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "cmp/transport.hh"
+#include "common/bitvec.hh"
+#include "common/ring_buffer.hh"
 #include "fabric/fabric.hh"
 
 namespace hirise::cmp {
@@ -25,6 +33,11 @@ class MsgSwitch : public Transport
   public:
     MsgSwitch(const SwitchSpec &spec, std::uint32_t num_vcs,
               DeliverFn deliver);
+
+    /** As above, but with a caller-supplied fabric (an oracle or a
+     *  lockstep differential fabric). */
+    MsgSwitch(const SwitchSpec &spec, std::uint32_t num_vcs,
+              DeliverFn deliver, std::unique_ptr<fabric::Fabric> fabric);
 
     /** Enqueue @p m at its source tile's input port. */
     void send(const Message &m) override;
@@ -38,7 +51,7 @@ class MsgSwitch : public Transport
     {
         return delivered_;
     }
-    std::uint64_t backlogMessages() const;
+    std::uint64_t backlogMessages() const { return backlog_; }
 
     /** Mean over time of the total queued messages (congestion). */
     double avgBacklog() const
@@ -49,7 +62,6 @@ class MsgSwitch : public Transport
   private:
     struct Connection
     {
-        bool active = false;
         bool justGranted = false;
         std::uint32_t vc = 0;
         std::uint32_t flitsLeft = 0;
@@ -58,16 +70,35 @@ class MsgSwitch : public Transport
 
     struct Port
     {
-        std::vector<std::deque<Message>> vcs;
         Connection conn;
-        std::uint32_t rr = 0;
+        std::uint32_t rr = 0;     //!< next VC the round-robin tries
+        std::uint32_t queued = 0; //!< messages over all VCs
     };
 
+    RingBuffer<Message> &
+    vc(std::uint32_t port, std::uint32_t v)
+    {
+        return vcs_[std::size_t(port) * numVcs_ + v];
+    }
+
+    void arbitrate();
+    void transfer();
+
     SwitchSpec spec_;
+    std::uint32_t numVcs_;
     std::unique_ptr<fabric::Fabric> fabric_;
     DeliverFn deliver_;
     std::vector<Port> ports_;
+    std::vector<RingBuffer<Message>> vcs_; //!< port-major, numVcs_ each
 
+    BitVec eligible_;  //!< idle ports with a queued message
+    BitVec connected_; //!< ports holding a connection
+    // Per-step scratch: req_ stays all-kNoRequest between steps.
+    std::vector<std::uint32_t> req_;
+    std::vector<std::uint32_t> cand_;
+    std::vector<std::uint32_t> active_; //!< requesting ports, ascending
+
+    std::uint64_t backlog_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t flitsDelivered_ = 0;
     std::uint64_t cycles_ = 0;

@@ -7,27 +7,52 @@ namespace hirise::noc {
 GraphNoc::GraphNoc(std::shared_ptr<Topology> topo,
                    std::uint32_t packet_len, std::uint32_t fifo_pkts,
                    std::uint64_t seed)
-    : topo_(std::move(topo)), packetLen_(packet_len),
-      fifoPkts_(fifo_pkts), rng_(seed)
+    : topo_(std::move(topo)), radix_(topo_->radix()),
+      conc_(topo_->concentration()), nodes_(topo_->numNodes()),
+      packetLen_(packet_len), fifoPkts_(fifo_pkts), rng_(seed)
 {
-    const std::uint32_t radix = topo_->radix();
-    routers_.resize(topo_->numRouters());
+    const std::uint32_t routers = topo_->numRouters();
+    routers_.resize(routers);
     for (auto &r : routers_) {
-        r.fifo.resize(radix);
-        r.reserved.assign(radix, 0);
-        r.outArb.assign(radix, arb::MatrixArbiter(radix));
-        r.outHolder.assign(radix, kNone);
-        r.conn.resize(radix);
+        r.fifo.resize(radix_);
+        r.reserved.assign(radix_, 0);
+        r.outArb.assign(radix_, arb::MatrixArbiter(radix_));
+        r.outHolder.assign(radix_, kNone);
+        r.conn.resize(radix_);
+        r.waiting.resize(radix_);
+        r.connected.resize(radix_);
     }
-    source_.resize(topo_->numNodes());
+    source_.resize(nodes_);
+
+    attach_.resize(nodes_);
+    for (std::uint32_t n = 0; n < nodes_; ++n)
+        attach_[n] = topo_->attach(n);
+    route_.resize(std::size_t(routers) * nodes_);
+    link_.resize(std::size_t(routers) * radix_);
+    wireMm_.assign(std::size_t(routers) * radix_, 0.0f);
+    for (std::uint32_t ri = 0; ri < routers; ++ri) {
+        for (std::uint32_t n = 0; n < nodes_; ++n) {
+            const PortRef &dst = attach_[n];
+            route_[std::size_t(ri) * nodes_ + n] =
+                dst.router == ri ? dst.port // ejection
+                                 : topo_->route(ri, dst.router);
+        }
+        for (std::uint32_t port = conc_; port < radix_; ++port) {
+            link_[portIdx(ri, port)] = topo_->link(ri, port);
+            wireMm_[portIdx(ri, port)] =
+                static_cast<float>(topo_->linkLengthMm(ri, port));
+        }
+    }
+
+    want_.assign(radix_, BitVec(radix_));
+    wantedOuts_.resize(radix_);
 }
 
 void
 GraphNoc::sendTagged(std::uint32_t src_node, std::uint32_t dst_node,
                      std::uint32_t len_flits, std::uint64_t tag)
 {
-    sim_assert(src_node < source_.size() &&
-                   dst_node < topo_->numNodes() &&
+    sim_assert(src_node < nodes_ && dst_node < nodes_ &&
                    src_node != dst_node,
                "bad tagged send %u -> %u", src_node, dst_node);
     QPkt p;
@@ -39,108 +64,96 @@ GraphNoc::sendTagged(std::uint32_t src_node, std::uint32_t dst_node,
     source_[src_node].push_back(p);
 }
 
-std::uint32_t
-GraphNoc::routePort(std::uint32_t router, const QPkt &pkt) const
-{
-    PortRef dst = topo_->attach(pkt.dstNode);
-    if (dst.router == router)
-        return dst.port; // ejection
-    return topo_->route(router, dst.router);
-}
-
 void
 GraphNoc::step()
 {
-    const std::uint32_t radix = topo_->radix();
-    const std::uint32_t conc = topo_->concentration();
-    const std::uint32_t nodes = topo_->numNodes();
-
     // 1. Node injection into the attach port's FIFO.
-    for (std::uint32_t n = 0; n < nodes; ++n) {
+    for (std::uint32_t n = 0; n < nodes_; ++n) {
         if (source_[n].empty())
             continue;
-        PortRef at = topo_->attach(n);
+        const PortRef &at = attach_[n];
         Router &r = routers_[at.router];
         if (r.fifo[at.port].size() + r.reserved[at.port] <
             fifoPkts_) {
-            r.fifo[at.port].push_back(source_[n].front());
+            enqueue(r, at.port, source_[n].front());
             source_[n].pop_front();
         }
     }
 
-    // 2. Per-router arbitration (one winner per free output).
+    // 2. Per-router arbitration (one winner per free output). Routers
+    //    go in index order: a grant reserves a downstream slot that
+    //    later routers' credit checks see.
     for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
         Router &r = routers_[ri];
         // Gather requests per output.
-        std::vector<std::vector<bool>> want(radix);
-        for (std::uint32_t in = 0; in < radix; ++in) {
-            if (r.conn[in].active || r.fifo[in].empty())
-                continue;
-            std::uint32_t out = routePort(ri, r.fifo[in].front());
+        r.waiting.forEachSet([&](std::uint32_t in) {
+            std::uint32_t out = routePort(ri, r.fifo[in].front().dstNode);
             if (r.outHolder[out] != kNone)
-                continue; // output mid-transfer
-            if (out >= conc) {
+                return; // output mid-transfer
+            if (out >= conc_) {
                 // Inter-router hop: need a downstream credit.
-                PortRef far = topo_->link(ri, out);
+                const PortRef &far = link_[portIdx(ri, out)];
                 sim_assert(far.valid, "routing into a dead port");
                 const Router &nr = routers_[far.router];
                 if (nr.fifo[far.port].size() +
                         nr.reserved[far.port] >=
                     fifoPkts_)
-                    continue;
+                    return;
             }
-            if (want[out].empty())
-                want[out].assign(radix, false);
-            want[out][in] = true;
-        }
-        for (std::uint32_t out = 0; out < radix; ++out) {
-            if (want[out].empty())
-                continue;
-            std::uint32_t w = r.outArb[out].pick(want[out]);
+            want_[out].set(in);
+            wantedOuts_.set(out);
+        });
+        // Resetting the current bit inside forEachSet is safe:
+        // iteration walks a copy of each word.
+        wantedOuts_.forEachSet([&](std::uint32_t out) {
+            wantedOuts_.reset(out);
+            BitVec &want = want_[out];
+            std::uint32_t w = r.outArb[out].pick(want);
+            want.forEachSet([&](std::uint32_t in) { want.reset(in); });
             if (w == arb::MatrixArbiter::kNone)
-                continue;
+                return;
             r.outArb[out].update(w);
             r.outHolder[out] = w;
             auto &c = r.conn[w];
-            c.active = true;
             c.justGranted = true;
             c.pkt = r.fifo[w].front();
             r.fifo[w].pop_front();
+            r.waiting.reset(w);
+            r.connected.set(w);
             c.flitsLeft = c.pkt.lenFlits;
             c.output = out;
-            if (out >= conc) {
-                PortRef far = topo_->link(ri, out);
+            if (out >= conc_) {
+                const PortRef &far = link_[portIdx(ri, out)];
                 ++routers_[far.router].reserved[far.port];
             }
-        }
+        });
     }
 
-    // 3. Flit transfer and hand-off.
+    // 3. Flit transfer and hand-off, in (router, input) order.
     for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
         Router &r = routers_[ri];
-        for (std::uint32_t in = 0; in < radix; ++in) {
+        r.connected.forEachSet([&](std::uint32_t in) {
             auto &c = r.conn[in];
-            if (!c.active)
-                continue;
             if (c.justGranted) {
                 c.justGranted = false;
-                continue;
+                return;
             }
             if (--c.flitsLeft > 0)
-                continue;
+                return;
             r.outHolder[c.output] = kNone;
-            c.active = false;
-            if (c.output >= conc) {
-                PortRef far = topo_->link(ri, c.output);
+            r.connected.reset(in);
+            if (!r.fifo[in].empty())
+                r.waiting.set(in);
+            if (c.output >= conc_) {
+                const PortRef &far = link_[portIdx(ri, c.output)];
                 Router &nr = routers_[far.router];
                 sim_assert(nr.reserved[far.port] > 0,
                            "hand-off without reservation");
                 --nr.reserved[far.port];
                 QPkt pkt = c.pkt;
                 ++pkt.hops;
-                pkt.linkMm += static_cast<float>(
-                    topo_->linkLengthMm(ri, c.output));
-                nr.fifo[far.port].push_back(pkt);
+                pkt.linkMm += wireMm_[portIdx(ri, c.output)];
+                enqueue(nr, far.port, pkt);
             } else {
                 ++delivered_;
                 if (measuring_) {
@@ -152,7 +165,7 @@ GraphNoc::step()
                 if (deliverFn_)
                     deliverFn_(c.pkt.tag);
             }
-        }
+        });
     }
 
     ++cycle_;
@@ -161,14 +174,13 @@ GraphNoc::step()
 GraphResult
 GraphNoc::run(double rate, net::Cycle warmup, net::Cycle measure)
 {
-    const std::uint32_t nodes = topo_->numNodes();
     auto inject = [&]() {
-        for (std::uint32_t n = 0; n < nodes; ++n) {
+        for (std::uint32_t n = 0; n < nodes_; ++n) {
             if (!rng_.bernoulli(rate))
                 continue;
             QPkt p;
             std::uint32_t d = static_cast<std::uint32_t>(
-                rng_.below(nodes - 1));
+                rng_.below(nodes_ - 1));
             p.dstNode = d >= n ? d + 1 : d;
             p.hops = 0;
             p.lenFlits = static_cast<std::uint16_t>(packetLen_);

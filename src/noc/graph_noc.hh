@@ -6,18 +6,25 @@
  * output arbitration and the same connection-held timing as the rest
  * of this repository: one arbitration cycle, then one flit per cycle,
  * with virtual cut-through hand-off between routers.
+ *
+ * The topology's routing, links, node attachment and wire lengths are
+ * tabulated at construction, so stepping makes no virtual Topology
+ * call. Per-router bitsets of waiting and connected inputs let a step
+ * skip idle ports; FIFOs are ring buffers and the per-output request
+ * sets are reused bitsets, so a step does not allocate.
  */
 
 #ifndef HIRISE_NOC_GRAPH_NOC_HH
 #define HIRISE_NOC_GRAPH_NOC_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "arb/matrix_arbiter.hh"
+#include "common/bitvec.hh"
 #include "common/random.hh"
+#include "common/ring_buffer.hh"
 #include "common/stats.hh"
 #include "net/packet.hh"
 #include "noc/topology.hh"
@@ -77,7 +84,6 @@ class GraphNoc
 
     struct Conn
     {
-        bool active = false;
         bool justGranted = false;
         std::uint32_t flitsLeft = 0;
         std::uint32_t output = 0;
@@ -86,23 +92,56 @@ class GraphNoc
 
     struct Router
     {
-        std::vector<std::deque<QPkt>> fifo; //!< per input port
+        std::vector<RingBuffer<QPkt>> fifo; //!< per input port
         std::vector<std::uint32_t> reserved;
         std::vector<arb::MatrixArbiter> outArb;
         std::vector<std::uint32_t> outHolder; //!< input or kNone
         std::vector<Conn> conn;
+        BitVec waiting;   //!< inputs with a queued packet, no connection
+        BitVec connected; //!< inputs holding a connection
     };
+
+    /** Append @p pkt to input @p port of @p r. */
+    static void
+    enqueue(Router &r, std::uint32_t port, const QPkt &pkt)
+    {
+        r.fifo[port].push_back(pkt);
+        if (!r.connected[port])
+            r.waiting.set(port);
+    }
 
     static constexpr std::uint32_t kNone = ~0u;
 
-    std::uint32_t routePort(std::uint32_t router,
-                            const QPkt &pkt) const;
+    /** Output port at @p router for a packet to @p dst_node (the
+     *  node's ejection port at its own router). */
+    std::uint32_t
+    routePort(std::uint32_t router, std::uint32_t dst_node) const
+    {
+        return route_[std::size_t(router) * nodes_ + dst_node];
+    }
+    /** Table index of (router, port). */
+    std::size_t
+    portIdx(std::uint32_t router, std::uint32_t port) const
+    {
+        return std::size_t(router) * radix_ + port;
+    }
 
     std::shared_ptr<Topology> topo_;
+    std::uint32_t radix_, conc_, nodes_;
     std::uint32_t packetLen_;
     std::uint32_t fifoPkts_;
     std::vector<Router> routers_;
-    std::vector<std::deque<QPkt>> source_; //!< per node
+    std::vector<RingBuffer<QPkt>> source_; //!< per node
+
+    // Topology tables, filled at construction.
+    std::vector<std::uint32_t> route_; //!< [router * nodes + dst node]
+    std::vector<PortRef> link_;        //!< [portIdx], far end
+    std::vector<float> wireMm_;        //!< [portIdx], wire length
+    std::vector<PortRef> attach_;      //!< [node]
+
+    // Arbitration scratch, reused by every router in turn.
+    std::vector<BitVec> want_; //!< per output: requesting inputs
+    BitVec wantedOuts_;        //!< outputs with any request
     std::function<void(std::uint64_t)> deliverFn_;
     Rng rng_;
 

@@ -1,5 +1,7 @@
 #include "noc/mesh.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace hirise::noc {
@@ -32,6 +34,8 @@ MeshNoc::MeshNoc(const MeshConfig &cfg)
         r.conn.resize(cfg_.router.radix);
     }
     source_.resize(cfg_.totalNodes());
+    req_.resize(cfg_.router.radix);
+    outFor_.resize(cfg_.router.radix);
 }
 
 NodeAddr
@@ -208,8 +212,10 @@ MeshNoc::step()
     // 2. Arbitration at every router.
     for (std::uint32_t ri = 0; ri < nRouters_; ++ri) {
         Router &r = routers_[ri];
-        std::vector<std::uint32_t> req(radix, fabric::kNoRequest);
-        std::vector<std::uint32_t> out_for(radix, kNoPort);
+        std::vector<std::uint32_t> &req = req_;
+        std::vector<std::uint32_t> &out_for = outFor_;
+        std::fill(req.begin(), req.end(), fabric::kNoRequest);
+        std::fill(out_for.begin(), out_for.end(), kNoPort);
         for (std::uint32_t in = 0; in < radix; ++in) {
             if (r.conn[in].active || r.fifo[in].empty())
                 continue;

@@ -52,7 +52,8 @@ struct MeshConfig
 
     std::uint32_t layers() const
     {
-        return router.topo == Topology::Flat2D ? 1 : router.layers;
+        return router.topo == hirise::Topology::Flat2D ? 1
+                                                       : router.layers;
     }
     std::uint32_t
     portsPerLayer() const
@@ -190,6 +191,9 @@ class MeshNoc
     std::vector<Router> routers_;
     std::vector<std::deque<QPkt>> source_; //!< per node
     Rng rng_;
+    // Per-router arbitration scratch, reused across routers and steps.
+    std::vector<std::uint32_t> req_;
+    std::vector<std::uint32_t> outFor_;
 
     net::Cycle cycle_ = 0;
     bool measuring_ = false;

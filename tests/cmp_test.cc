@@ -8,6 +8,7 @@
 
 #include "cmp/graph_transport.hh"
 
+#include "check/lockstep.hh"
 #include "common/random.hh"
 #include "cmp/msg_switch.hh"
 #include "cmp/system.hh"
@@ -177,6 +178,45 @@ TEST(MsgSwitch, ManyMessagesAllDelivered)
         sw.step();
     EXPECT_EQ(sw.backlogMessages(), 0u);
     EXPECT_EQ(delivered, sent);
+}
+
+TEST(MsgSwitch, LockstepOracleAgreesOnMix8)
+{
+    // The switch's active-list arbitration and idle-cycle skipping run
+    // against the reference fabric cycle by cycle, and the system
+    // result must match the default fabric's bit for bit.
+    for (const SwitchSpec &spec : {flat64(), hirise64()}) {
+        SCOPED_TRACE(toString(spec.topo));
+        SystemConfig cfg;
+        auto per_core = assignMix(paperMixes()[7], cfg.numTiles);
+        check::LockstepFabric *lock = nullptr;
+        CmpSystem checked(
+            [&](Transport::DeliverFn deliver) {
+                auto f = std::make_unique<check::LockstepFabric>(spec);
+                lock = f.get();
+                return std::make_unique<MsgSwitch>(
+                    spec, cfg.switchVcs, std::move(deliver),
+                    std::move(f));
+            },
+            cfg, per_core);
+        CmpSystem plain(spec, cfg, per_core);
+        SystemResult a = checked.run(500, 2500);
+        SystemResult b = plain.run(500, 2500);
+
+        ASSERT_NE(lock, nullptr);
+        EXPECT_FALSE(lock->mismatched()) << lock->mismatchDetail();
+        EXPECT_GT(a.networkMessages, 0u);
+        EXPECT_EQ(a.totalIpc, b.totalIpc);
+        EXPECT_EQ(a.avgMissLatencyNs, b.avgMissLatencyNs);
+        EXPECT_EQ(a.networkMessages, b.networkMessages);
+        ASSERT_EQ(a.cores.size(), b.cores.size());
+        for (std::size_t c = 0; c < a.cores.size(); ++c) {
+            EXPECT_EQ(a.cores[c].retired, b.cores[c].retired) << c;
+            EXPECT_EQ(a.cores[c].misses, b.cores[c].misses) << c;
+            EXPECT_EQ(a.cores[c].stallCycles, b.cores[c].stallCycles)
+                << c;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
