@@ -4,9 +4,8 @@
  * BENCHMARK_MAIN() for two reasons:
  *
  * 1. The JSON context records how *this repo* was compiled
- *    ("hirise_build_type") plus the dispatched SIMD tier
- *    ("hirise_simd_tier"), so baselines are never silently compared
- *    across build types or kernel tiers.
+ *    ("hirise_build_type"), so baselines are never silently compared
+ *    across build types.
  *
  * 2. The file reporter stamps "library_build_type" from this
  *    translation unit's NDEBUG instead of the installed
@@ -27,8 +26,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-
-#include "common/simd.hh"
 
 namespace {
 
@@ -114,12 +111,6 @@ main(int argc, char **argv)
 #else
     benchmark::AddCustomContext("hirise_build_type", "debug");
 #endif
-    // Which kernel tier the run dispatched to (scalar/avx2/avx512), so
-    // a baseline captured on one tier is never silently compared
-    // against another (scripts/perf_smoke.py surfaces the field).
-    benchmark::AddCustomContext(
-        "hirise_simd_tier",
-        hirise::simd::tierName(hirise::simd::activeTier()));
 
     // The file reporter is only handed over when --benchmark_out was
     // given; otherwise RunSpecifiedBenchmarks would default its stream

@@ -11,9 +11,9 @@ would otherwise hide a regression forever.
 
 Host-context guard: a baseline captured on a different machine is not
 a meaningful throughput reference, so when the recorded context
-differs from the fresh run on num_cpus, mhz_per_cpu, or the dispatched
-SIMD tier (hirise_simd_tier), regressions are downgraded to warnings
-and the differing context fields are printed as a delta table.
+differs from the fresh run on num_cpus or mhz_per_cpu, regressions
+are downgraded to warnings and the differing context fields are
+printed as a delta table.
 --strict restores hard failure regardless of context (for CI jobs that
 pin the runner). Missing benchmarks always fail: dropping a benchmark
 is a suite change, not a host effect. A library_build_type mismatch
@@ -32,7 +32,7 @@ import sys
 # Context fields that make throughput numbers comparable. A mismatch
 # in any of them means the baseline was captured on effectively a
 # different machine.
-HOST_CONTEXT_KEYS = ("num_cpus", "mhz_per_cpu", "hirise_simd_tier")
+HOST_CONTEXT_KEYS = ("num_cpus", "mhz_per_cpu")
 
 
 def load(path):

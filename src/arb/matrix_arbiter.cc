@@ -24,17 +24,6 @@ MatrixArbiter::pick(const BitVec &req) const
     sim_assert(req.size() == n_, "request vector size %u != %u",
                req.size(), n_);
     const Word *rw = req.words();
-#ifdef HIRISE_SIMD_AVX2_COMPILED
-    // Hoisted tier tests: the vector dominance kernels only pay off
-    // once a priority row spans at least one full vector (256-bit:
-    // radix > 192, e.g. the flat-2D monolithic arbiter at radix 256;
-    // 512-bit: radix > 448); smaller arbiters stay on the scalar word
-    // loop.
-    const bool wide = rowWords_ >= 4 && simd::avx2();
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-    const bool wide512 = rowWords_ >= 8 && simd::avx512();
-#endif
-#endif
     for (std::uint32_t k = 0; k < rowWords_; ++k) {
         Word cand = rw[k];
         while (cand) {
@@ -44,23 +33,8 @@ MatrixArbiter::pick(const BitVec &req) const
             std::uint32_t i = k * kWordBits + bit;
             // i wins iff no other requestor outranks it:
             // (req & ~row(i)) must contain no bit besides i itself.
-            const Word *ri = row(i);
-            const Word self = Word(1) << bit;
-            bool wins;
-#ifdef HIRISE_SIMD_AVX512_COMPILED
-            if (wide512)
-                wins = !simd::losingAnyAvx512(rw, ri, rowWords_, k,
-                                              self);
-            else
-#endif
-#ifdef HIRISE_SIMD_AVX2_COMPILED
-            if (wide)
-                wins = !simd::losingAnyAvx2(rw, ri, rowWords_, k, self);
-            else
-#endif
-                wins = !simd::losingAnyScalar(rw, ri, rowWords_, k,
-                                              self);
-            if (wins)
+            if (!simd::losingAny(rw, row(i), rowWords_, k,
+                                 Word(1) << bit))
                 return i;
         }
     }

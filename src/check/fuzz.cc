@@ -8,7 +8,6 @@
 #include "check/lockstep.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
-#include "common/simd.hh"
 #include "fabric/fabric.hh"
 #include "fabric/hirise.hh"
 #include "traffic/pattern.hh"
@@ -301,8 +300,7 @@ describe(const DiffConfig &c)
        << " warm=" << c.cfg.warmupCycles
        << " meas=" << c.cfg.measureCycles
        << " seed=" << c.cfg.seed
-       << " mode=" << (c.cfg.denseStepping ? "dense" : "event")
-       << " tier=" << simd::tierName(c.tier);
+       << " mode=" << (c.cfg.denseStepping ? "dense" : "event");
     if (!c.faults.empty())
         os << " faults=" << c.faults.size();
     if (!c.faultSchedule.empty())
@@ -317,14 +315,6 @@ DiffOutcome
 runDifferential(const DiffConfig &c)
 {
     DiffOutcome out;
-
-    // Pin the config's SIMD tier for the whole differential (clamped
-    // to what this build/host supports). The store is process-global,
-    // so concurrent differentials with different tiers can flip it
-    // mid-run — benign by design: every tier is bit-identical, so a
-    // mid-run flip that changes any result is itself a real kernel
-    // divergence the comparison passes will catch.
-    simd::forceTier(c.tier);
 
     // Pass 1: optimized fabric with the oracle riding shotgun,
     // compared cycle by cycle.
@@ -463,11 +453,9 @@ sampleConfig(Rng &rng)
     c.cfg.measureCycles = u32(50, 400);
     c.cfg.seed = rng.next();
     c.cfg.denseStepping = rng.below(2) == 1;
-    // Tier axis: sampled over all compiled tiers; forceTier clamps to
-    // the host's best at run time, so configs replay anywhere.
-    static constexpr simd::Tier kTiers[] = {
-        simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512};
-    c.tier = kTiers[u32(0, 2)];
+    // Former SIMD-tier draw, discarded: keeps every seed's config
+    // stream identical to the one the CI fuzz seeds were chosen on.
+    (void)u32(0, 2);
 
     switch (u32(0, 9)) {
       case 4:
@@ -679,18 +667,6 @@ shrink(const DiffConfig &failing)
             return true;
         });
         add([](DiffConfig &d) {
-            if (d.tier == simd::Tier::Scalar)
-                return false;
-            d.tier = simd::Tier::Scalar;
-            return true;
-        });
-        add([](DiffConfig &d) {
-            if (d.tier != simd::Tier::Avx512)
-                return false;
-            d.tier = simd::Tier::Avx2;
-            return true;
-        });
-        add([](DiffConfig &d) {
             if (d.pattern == PatternKind::Uniform)
                 return false;
             d.pattern = PatternKind::Uniform;
@@ -820,11 +796,6 @@ toGtestRepro(const DiffConfig &c)
     if (c.pattern == PatternKind::Bursty)
         os << "    c.meanBurstLen = " << fmtDouble(c.meanBurstLen)
            << ";\n";
-    if (c.tier != simd::Tier::Scalar) {
-        os << "    c.tier = simd::Tier::"
-           << (c.tier == simd::Tier::Avx512 ? "Avx512" : "Avx2")
-           << ";\n";
-    }
     if (!c.faults.empty()) {
         os << "    c.faults = {";
         for (std::size_t i = 0; i < c.faults.size(); ++i) {

@@ -20,7 +20,6 @@
 
 #include "check/oracle.hh"
 #include "common/random.hh"
-#include "common/simd.hh"
 #include "common/spec.hh"
 #include "sim/network_sim.hh"
 
@@ -64,11 +63,6 @@ struct DiffConfig
      *  a shared flag could never diverge). */
     sim::FaultSchedule faultSchedule;
     Mutation mutation = Mutation::None;
-    /** SIMD dispatch tier forced for the differential runs (clamped
-     *  to the best tier the build and host support, so sampled
-     *  configs replay anywhere). Every tier must be bit-identical;
-     *  shrinking steps toward Scalar. */
-    simd::Tier tier = simd::Tier::Scalar;
 };
 
 /** Non-fatal counterpart of SwitchSpec::validate() plus fuzz-side

@@ -13,11 +13,11 @@
 #define HIRISE_COMMON_BITVEC_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 #include "common/snapshot.hh"
 
 namespace hirise {
@@ -76,7 +76,8 @@ class BitVec
     void
     clear()
     {
-        simd::zeroWords(w_.data(), w_.size());
+        for (auto &w : w_)
+            w = 0;
     }
 
     /** Set every bit in [0, size()). */
@@ -108,7 +109,10 @@ class BitVec
     bool
     any() const
     {
-        return simd::anyWord(w_.data(), w_.size());
+        for (Word w : w_)
+            if (w)
+                return true;
+        return false;
     }
     bool none() const { return !any(); }
 
@@ -168,21 +172,22 @@ class BitVec
     }
 
     // -- word-parallel combination (operands must match in size) ------
-    // Routed through the simd kernels (common/simd.hh): the fabric
-    // phase-1 column binning and phase-2 contended-output walks are
-    // built from exactly these ops plus clear()/copyFrom().
+    // The fabric phase-1 column binning and phase-2 contended-output
+    // walks are built from exactly these ops plus clear()/copyFrom().
     BitVec &
     operator&=(const BitVec &o)
     {
         sim_assert(o.nbits_ == nbits_, "size mismatch");
-        simd::andWords(w_.data(), o.w_.data(), w_.size());
+        for (std::size_t k = 0; k < w_.size(); ++k)
+            w_[k] &= o.w_[k];
         return *this;
     }
     BitVec &
     operator|=(const BitVec &o)
     {
         sim_assert(o.nbits_ == nbits_, "size mismatch");
-        simd::orWords(w_.data(), o.w_.data(), w_.size());
+        for (std::size_t k = 0; k < w_.size(); ++k)
+            w_[k] |= o.w_[k];
         return *this;
     }
     /** this &= ~o */
@@ -190,7 +195,8 @@ class BitVec
     andNot(const BitVec &o)
     {
         sim_assert(o.nbits_ == nbits_, "size mismatch");
-        simd::andNotWords(w_.data(), o.w_.data(), w_.size());
+        for (std::size_t k = 0; k < w_.size(); ++k)
+            w_[k] &= ~o.w_[k];
         return *this;
     }
 
@@ -215,7 +221,8 @@ class BitVec
     copyFrom(const BitVec &o)
     {
         sim_assert(o.nbits_ == nbits_, "size mismatch");
-        simd::copyWords(w_.data(), o.w_.data(), w_.size());
+        for (std::size_t k = 0; k < w_.size(); ++k)
+            w_[k] = o.w_[k];
     }
 
     const Word *words() const { return w_.data(); }

@@ -125,7 +125,7 @@ NetworkSim::NetworkSim(const SwitchSpec &spec, const SimConfig &cfg,
     activeReq_.reserve(spec.radix);
     satOn_ = memoryless_ &&
              VirtualSourceQueues::saturates(cfg_.injectionRate) &&
-             !cfg_.legacySatQueues && !legacySatQueuesPinned();
+             !cfg_.legacySatQueues;
     if (satOn_) {
         satQ_.init(*pattern_, spec_.radix, cfg_.packetLen, cfg_.seed);
         satPart_.resize(spec_.radix);

@@ -56,8 +56,8 @@ struct SimConfig
      * path (sim/virtual_queue.hh): injection collapses to an
      * accounting bump and only per-input head packets materialize.
      * Results are bit-identical either way (tests/sat_fastpath_test
-     * .cc), so this — like the HIRISE_LEGACY_SAT_QUEUES=1 env pin —
-     * is a pure A/B perf knob. Never part of the SimCache key.
+     * .cc), so this is a pure A/B perf knob. Never part of the
+     * SimCache key.
      */
     bool legacySatQueues = false;
 };
@@ -248,7 +248,7 @@ class NetworkSim
     bool injHeapOn_;
     /** Virtual-source-queue saturation fast path live for this run
      *  (load >= 1, memoryless pattern, legacy path not pinned via
-     *  cfg_.legacySatQueues or HIRISE_LEGACY_SAT_QUEUES). Source
+     *  cfg_.legacySatQueues). Source
      *  queues then never materialize: injection is an accounting
      *  bump, fillVirtualPhase() streams from satQ_'s head packets,
      *  and backlogFlits() derives queue depth arithmetically. Both

@@ -4,7 +4,6 @@
 
 #include "common/parallel.hh"
 #include "common/random.hh"
-#include "common/simd.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -73,11 +72,6 @@ runPointsCached(const SwitchSpec &spec, const SimConfig &base,
     for (std::size_t j = 0; j < misses.size(); ++j) {
         results[misses[j]] = std::move(ran[j]);
         c.store(keys[misses[j]], results[misses[j]]);
-    }
-    if (obs::on()) [[unlikely]] {
-        obs::MetricsRegistry::global()
-            .gauge("simd.tier")
-            .set(double(static_cast<int>(simd::activeTier())));
     }
     return results;
 }

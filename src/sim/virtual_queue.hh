@@ -25,7 +25,6 @@
 #define HIRISE_SIM_VIRTUAL_QUEUE_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "common/random.hh"
@@ -34,19 +33,6 @@
 #include "traffic/pattern.hh"
 
 namespace hirise::sim {
-
-/** HIRISE_LEGACY_SAT_QUEUES=1 pins the legacy queued saturation
- *  path — the A/B knob for perf work (results are bit-identical
- *  either way). Read once per process. */
-inline bool
-legacySatQueuesPinned()
-{
-    static const bool pinned = [] {
-        const char *e = std::getenv("HIRISE_LEGACY_SAT_QUEUES");
-        return e != nullptr && e[0] == '1';
-    }();
-    return pinned;
-}
 
 class VirtualSourceQueues
 {

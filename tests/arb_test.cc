@@ -123,6 +123,43 @@ TEST(MatrixArbiter, NoStarvationUnderRandomRequests)
         EXPECT_GT(wins[i], 300u) << "port " << i << " starved";
 }
 
+TEST(MatrixArbiter, MultiWordPickMatchesNaiveLrg)
+{
+    // Radices spanning several priority-row words: an odd tail (130),
+    // exactly four words (256) and more than eight words (520). The
+    // reference is an explicit LRG list, highest priority first; a
+    // grant moves the winner to the back.
+    for (std::uint32_t n : {130u, 256u, 520u}) {
+        MatrixArbiter a(n);
+        std::vector<std::uint32_t> lrg(n);
+        std::iota(lrg.begin(), lrg.end(), 0u);
+        Rng rng(0x5eed + n);
+        BitVec req(n);
+        const double density[] = {0.005, 0.05, 0.5, 0.95};
+        for (int it = 0; it < 3000; ++it) {
+            const double p = density[it % 4];
+            req.clear();
+            for (std::uint32_t i = 0; i < n; ++i)
+                if (rng.bernoulli(p))
+                    req.set(i);
+            std::uint32_t want = MatrixArbiter::kNone;
+            for (std::uint32_t i : lrg) {
+                if (req.test(i)) {
+                    want = i;
+                    break;
+                }
+            }
+            const std::uint32_t got = a.pick(req);
+            ASSERT_EQ(got, want) << "n=" << n << " it=" << it;
+            if (got == MatrixArbiter::kNone)
+                continue;
+            a.update(got);
+            lrg.erase(std::find(lrg.begin(), lrg.end(), got));
+            lrg.push_back(got);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // ClassCounterBank
 // ---------------------------------------------------------------------

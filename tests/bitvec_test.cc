@@ -141,27 +141,13 @@ TEST(BitVec, MatchesVectorBoolModelUnderRandomOps)
 }
 
 // ---------------------------------------------------------------------
-// SIMD dispatch layer (common/simd.hh)
+// Word operations and lane kernels (common/bitvec.hh, common/simd.hh),
+// each checked against a naive per-bit or per-lane reference at odd
+// tail lengths. The OnEveryTier suffix of the names predates the
+// single scalar kernel tier; the test ids are kept stable.
 // ---------------------------------------------------------------------
 
 namespace {
-
-/** Run @p fn once per dispatch tier the build/host supports, then
- *  restore the native tier. forceTier clamps unsupported tiers down
- *  to the best the build (HIRISE_SIMD=OFF) or host provides, so the
- *  loop body can only ever see supported tiers. */
-template <typename Fn>
-void
-forEachTier(Fn fn)
-{
-    const simd::Tier native = simd::activeTier();
-    for (simd::Tier t : {simd::Tier::Scalar, simd::Tier::Avx2,
-                         simd::Tier::Avx512}) {
-        simd::forceTier(t);
-        fn(simd::activeTier());
-    }
-    simd::forceTier(native);
-}
 
 std::vector<simd::Word>
 randomWords(Rng &rng, std::size_t n)
@@ -172,64 +158,58 @@ randomWords(Rng &rng, std::size_t n)
     return w;
 }
 
-} // namespace
-
-TEST(Simd, ForceTierRoundTrip)
+/** BitVec of n full words holding @p w. */
+BitVec
+fromWords(const std::vector<simd::Word> &w)
 {
-    const simd::Tier native = simd::activeTier();
-    simd::forceTier(simd::Tier::Scalar);
-    EXPECT_EQ(simd::activeTier(), simd::Tier::Scalar);
-    EXPECT_FALSE(simd::avx2());
-    simd::forceTier(simd::Tier::Avx2); // clamped if unsupported
-    EXPECT_TRUE(simd::activeTier() == simd::Tier::Avx2 ||
-                simd::activeTier() == simd::Tier::Scalar);
-    EXPECT_STRNE(simd::tierName(simd::activeTier()), "");
-    simd::forceTier(simd::Tier::Avx512); // clamped if unsupported
-    EXPECT_LE(simd::activeTier(), simd::Tier::Avx512);
-    if (simd::activeTier() == simd::Tier::Avx512) {
-        EXPECT_TRUE(simd::avx512());
-        EXPECT_TRUE(simd::avx2()); // tiers are ordered supersets
-    }
-    EXPECT_STRNE(simd::tierName(simd::activeTier()), "");
-    simd::forceTier(native);
-    EXPECT_EQ(simd::activeTier(), native);
+    BitVec b(static_cast<std::uint32_t>(w.size()) * BitVec::kWordBits);
+    std::copy(w.begin(), w.end(), b.words());
+    return b;
 }
+
+std::vector<simd::Word>
+toWords(const BitVec &b)
+{
+    return {b.words(), b.words() + b.numWords()};
+}
+
+} // namespace
 
 TEST(Simd, WordKernelsMatchScalarReferenceOnEveryTier)
 {
-    // Word counts straddle both the 4-word AVX2 and the 8-word
-    // AVX-512 vector widths (0..17) so every vector body and every
-    // masked/scalar tail length runs.
+    // The BitVec bulk word ops against per-word references, at every
+    // word count 0..17.
     Rng rng(1);
     for (std::size_t n = 0; n <= 17; ++n) {
         const auto a0 = randomWords(rng, n);
-        const auto b = randomWords(rng, n);
-        forEachTier([&](simd::Tier) {
-            auto d = a0;
-            simd::zeroWords(d.data(), n);
-            EXPECT_TRUE(std::all_of(d.begin(), d.end(),
-                                    [](simd::Word w) { return !w; }));
-            simd::copyWords(d.data(), a0.data(), n);
-            EXPECT_EQ(d, a0);
-            simd::andWords(d.data(), b.data(), n);
-            for (std::size_t k = 0; k < n; ++k)
-                EXPECT_EQ(d[k], a0[k] & b[k]);
-            d = a0;
-            simd::orWords(d.data(), b.data(), n);
-            for (std::size_t k = 0; k < n; ++k)
-                EXPECT_EQ(d[k], a0[k] | b[k]);
-            d = a0;
-            simd::andNotWords(d.data(), b.data(), n);
-            for (std::size_t k = 0; k < n; ++k)
-                EXPECT_EQ(d[k], a0[k] & ~b[k]);
-            EXPECT_EQ(simd::anyWord(a0.data(), n), n > 0);
-            std::vector<simd::Word> z(n, 0);
-            EXPECT_FALSE(simd::anyWord(z.data(), n));
-            if (n) {
-                z[n - 1] = 1; // only the tail word set
-                EXPECT_TRUE(simd::anyWord(z.data(), n));
-            }
-        });
+        const auto b0 = randomWords(rng, n);
+        const BitVec a = fromWords(a0);
+        const BitVec b = fromWords(b0);
+        BitVec d = a;
+        d.clear();
+        EXPECT_TRUE(std::all_of(d.words(), d.words() + n,
+                                [](simd::Word w) { return !w; }));
+        d.copyFrom(a);
+        EXPECT_EQ(toWords(d), a0);
+        d &= b;
+        for (std::size_t k = 0; k < n; ++k)
+            EXPECT_EQ(d.words()[k], a0[k] & b0[k]);
+        d.copyFrom(a);
+        d |= b;
+        for (std::size_t k = 0; k < n; ++k)
+            EXPECT_EQ(d.words()[k], a0[k] | b0[k]);
+        d.copyFrom(a);
+        d.andNot(b);
+        for (std::size_t k = 0; k < n; ++k)
+            EXPECT_EQ(d.words()[k], a0[k] & ~b0[k]);
+        EXPECT_EQ(a.any(), n > 0);
+        BitVec z(static_cast<std::uint32_t>(n) * BitVec::kWordBits);
+        EXPECT_FALSE(z.any());
+        if (n) {
+            z.set(static_cast<std::uint32_t>(n - 1) *
+                  BitVec::kWordBits); // only the tail word set
+            EXPECT_TRUE(z.any());
+        }
     }
 }
 
@@ -257,24 +237,20 @@ TEST(Simd, LosingAnyMatchesBitLevelDominanceOnEveryTier)
                     break;
                 }
             }
-            forEachTier([&](simd::Tier t) {
-                EXPECT_EQ(simd::losingAny(req.data(), row.data(), n,
-                                          self / 64,
-                                          simd::Word(1) << (self % 64)),
-                          naive)
-                    << "n=" << n << " self=" << self
-                    << " tier=" << simd::tierName(t);
-            });
+            EXPECT_EQ(simd::losingAny(req.data(), row.data(), n,
+                                      self / 64,
+                                      simd::Word(1) << (self % 64)),
+                      naive)
+                << "n=" << n << " self=" << self;
         }
     }
 }
 
 TEST(Simd, GatherNonSentinelMatchesScalarScanOnEveryTier)
 {
-    // Odd lengths straddle the 8- and 16-lane vector widths; the
-    // kernel must emit the surviving indices ascending (the fabric's
-    // request-binning order — and with it phase-1 picks — depends on
-    // that).
+    // The kernel must emit the surviving indices ascending (the
+    // fabric's request-binning order — and with it phase-1 picks —
+    // depends on that).
     constexpr std::uint32_t kSentinel = ~0u;
     Rng rng(3);
     for (std::uint32_t n :
@@ -290,17 +266,12 @@ TEST(Simd, GatherNonSentinelMatchesScalarScanOnEveryTier)
                     v[i] = kSentinel;
                 }
             }
-            forEachTier([&](simd::Tier t) {
-                std::vector<std::uint32_t> out(n + 1, 0xdeadbeefu);
-                std::uint32_t m = simd::gatherNonSentinelU32(
-                    v.data(), n, kSentinel, out.data());
-                ASSERT_EQ(m, want.size())
-                    << "n=" << n << " tier=" << simd::tierName(t);
-                for (std::uint32_t k = 0; k < m; ++k)
-                    EXPECT_EQ(out[k], want[k])
-                        << "n=" << n << " k=" << k
-                        << " tier=" << simd::tierName(t);
-            });
+            std::vector<std::uint32_t> out(n + 1, 0xdeadbeefu);
+            std::uint32_t m = simd::gatherNonSentinelU32(
+                v.data(), n, kSentinel, out.data());
+            ASSERT_EQ(m, want.size()) << "n=" << n;
+            for (std::uint32_t k = 0; k < m; ++k)
+                EXPECT_EQ(out[k], want[k]) << "n=" << n << " k=" << k;
         }
     }
 }
@@ -316,19 +287,16 @@ TEST(Simd, MinU32MatchesScalarReductionOnEveryTier)
                 x = static_cast<std::uint32_t>(rng.next());
                 want = std::min(want, x);
             }
-            forEachTier([&](simd::Tier t) {
-                EXPECT_EQ(simd::minU32(v.data(), n), want)
-                    << "n=" << n << " tier=" << simd::tierName(t);
-            });
+            EXPECT_EQ(simd::minU32(v.data(), n), want) << "n=" << n;
         }
     }
 }
 
 TEST(Simd, EqBitsU32MatchesScalarMaskBuildOnEveryTier)
 {
-    // Lengths cover every chunk shape (8/16-lane bodies, odd tails,
-    // and word-boundary straddles at 64); the kernel owns all
-    // ceil(n/64) output words, so stale set bits must be erased.
+    // Lengths cover odd tails and word-boundary straddles at 64; the
+    // kernel owns all ceil(n/64) output words, so stale set bits must
+    // be erased.
     Rng rng(5);
     for (std::size_t n :
          {1u, 7u, 8u, 9u, 16u, 17u, 63u, 64u, 65u, 130u}) {
@@ -339,22 +307,17 @@ TEST(Simd, EqBitsU32MatchesScalarMaskBuildOnEveryTier)
             const std::uint32_t value =
                 static_cast<std::uint32_t>(rng.below(4));
             const std::size_t nwords = (n + 63) / 64;
-            forEachTier([&](simd::Tier t) {
-                std::vector<simd::Word> got(nwords, ~simd::Word(0));
-                simd::eqBitsU32(v.data(), n, value, got.data());
-                for (std::size_t i = 0; i < n; ++i) {
-                    bool bit = (got[i / 64] >> (i % 64)) & 1u;
-                    EXPECT_EQ(bit, v[i] == value)
-                        << "n=" << n << " i=" << i
-                        << " tier=" << simd::tierName(t);
-                }
-                // Tail bits beyond n stay clear.
-                if (n % 64)
-                    EXPECT_EQ(got[nwords - 1] >>
-                                  (n % 64),
-                              simd::Word(0))
-                        << "n=" << n << " tier=" << simd::tierName(t);
-            });
+            std::vector<simd::Word> got(nwords, ~simd::Word(0));
+            simd::eqBitsU32(v.data(), n, value, got.data());
+            for (std::size_t i = 0; i < n; ++i) {
+                bool bit = (got[i / 64] >> (i % 64)) & 1u;
+                EXPECT_EQ(bit, v[i] == value) << "n=" << n << " i=" << i;
+            }
+            // Tail bits beyond n stay clear.
+            if (n % 64) {
+                EXPECT_EQ(got[nwords - 1] >> (n % 64), simd::Word(0))
+                    << "n=" << n;
+            }
         }
     }
 }
@@ -366,14 +329,10 @@ TEST(Simd, HalveU32MatchesScalarShiftOnEveryTier)
         std::vector<std::uint32_t> v0(n);
         for (auto &x : v0)
             x = static_cast<std::uint32_t>(rng.next());
-        forEachTier([&](simd::Tier t) {
-            auto v = v0;
-            simd::halveU32(v.data(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(v[i], v0[i] >> 1)
-                    << "n=" << n << " i=" << i
-                    << " tier=" << simd::tierName(t);
-        });
+        auto v = v0;
+        simd::halveU32(v.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(v[i], v0[i] >> 1) << "n=" << n << " i=" << i;
     }
 }
 
@@ -388,16 +347,11 @@ TEST(Simd, AccumulateFlagsMatchesScalarLoopOnEveryTier)
                 flags[i] = rng.bernoulli(0.5) ? 1 : 0;
                 acc0[i] = rng.next();
             }
-            forEachTier([&](simd::Tier t) {
-                auto acc = acc0;
-                simd::accumulateFlagsU64(acc.data(), flags.data(), n,
-                                         scale);
-                for (std::size_t i = 0; i < n; ++i)
-                    EXPECT_EQ(acc[i],
-                              acc0[i] + (flags[i] ? scale : 0))
-                        << "n=" << n << " i=" << i << " scale=" << scale
-                        << " tier=" << simd::tierName(t);
-            });
+            auto acc = acc0;
+            simd::accumulateFlagsU64(acc.data(), flags.data(), n, scale);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(acc[i], acc0[i] + (flags[i] ? scale : 0))
+                    << "n=" << n << " i=" << i << " scale=" << scale;
         }
     }
 }
