@@ -9,54 +9,43 @@
 
 namespace hirise::svc {
 
-namespace {
-
-void
-appendField(std::string &out, const char *name, double v)
-{
-    appendJsonString(out, name);
-    out += ':';
-    out += numberToString(v);
-}
-
-} // namespace
-
 std::string
 resultRow(std::size_t index, const sim::RunPoint &pt,
           const sim::SimResult &r)
 {
     // Hand-rolled for a fixed member order and zero intermediate
-    // Json allocation: this runs once per point but is also the
-    // byte-identity contract, so keep it boring and explicit.
+    // allocation: keys are pre-quoted literals and numbers are
+    // spelled straight into the row. This runs once per streamed row
+    // and is also the byte-identity contract, so keep it boring and
+    // explicit.
     std::string out;
     out.reserve(320);
-    out += '{';
-    appendField(out, "row", double(index));
-    out += ',';
-    appendField(out, "load", pt.load);
-    out += ',';
-    appendField(out, "seed", double(pt.seed));
-    out += ',';
-    appendField(out, "offered_fpc", r.offeredFlitsPerCycle);
-    out += ',';
-    appendField(out, "accepted_fpc", r.acceptedFlitsPerCycle);
-    out += ',';
-    appendField(out, "avg_latency", r.avgLatencyCycles);
-    out += ',';
-    appendField(out, "p99_latency", r.p99LatencyCycles);
-    out += ',';
-    appendField(out, "avg_queueing", r.avgQueueingCycles);
-    out += ',';
-    appendField(out, "packets", double(r.packetsDelivered));
-    out += ',';
-    appendField(out, "in_flight", double(r.inFlightAtMeasureEnd));
-    out += ',';
-    appendField(out, "latency_overflow",
-                double(r.latencyOverflowPackets));
-    out += ',';
-    appendField(out, "dropped", double(r.packetsDropped));
-    out += ',';
-    appendField(out, "fairness", r.fairness);
+    out += "{\"row\":";
+    appendNumber(out, double(index));
+    out += ",\"load\":";
+    appendNumber(out, pt.load);
+    out += ",\"seed\":";
+    appendNumber(out, double(pt.seed));
+    out += ",\"offered_fpc\":";
+    appendNumber(out, r.offeredFlitsPerCycle);
+    out += ",\"accepted_fpc\":";
+    appendNumber(out, r.acceptedFlitsPerCycle);
+    out += ",\"avg_latency\":";
+    appendNumber(out, r.avgLatencyCycles);
+    out += ",\"p99_latency\":";
+    appendNumber(out, r.p99LatencyCycles);
+    out += ",\"avg_queueing\":";
+    appendNumber(out, r.avgQueueingCycles);
+    out += ",\"packets\":";
+    appendNumber(out, double(r.packetsDelivered));
+    out += ",\"in_flight\":";
+    appendNumber(out, double(r.inFlightAtMeasureEnd));
+    out += ",\"latency_overflow\":";
+    appendNumber(out, double(r.latencyOverflowPackets));
+    out += ",\"dropped\":";
+    appendNumber(out, double(r.packetsDropped));
+    out += ",\"fairness\":";
+    appendNumber(out, r.fairness);
     out += '}';
     return out;
 }

@@ -8,7 +8,7 @@
  * The byte-identity contract (docs/SERVICE.md): row i of a campaign
  * depends only on (spec, i). Rows carry no job id, no timestamps, no
  * daemon state, and every number is spelled through the canonical
- * svc::numberToString, so the daemon's streamed bytes equal a direct
+ * svc::appendNumber, so the daemon's streamed bytes equal a direct
  * in-process evaluation of the same spec — including after a kill and
  * resume, because completed points come back from the disk SimCache
  * and an in-progress point resumes from its PR-9 snapshot.

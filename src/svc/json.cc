@@ -1,6 +1,7 @@
 #include "svc/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -106,25 +107,32 @@ appendJsonString(std::string &out, std::string_view s)
     out += '"';
 }
 
-std::string
-numberToString(double v)
+void
+appendNumber(std::string &out, double v)
 {
-    // -0.0 and 0.0 name the same simulation quantity everywhere in
-    // this codebase (see SimCache::key); spell both "0".
-    if (v == 0.0)
-        v = 0.0;
-    char buf[40];
-    double r = std::round(v);
-    if (std::isfinite(v) && r == v && std::fabs(v) < 9.007199254740992e15) {
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-    } else if (std::isfinite(v)) {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    } else {
+    if (!std::isfinite(v)) {
         // JSON has no inf/nan; serialize as null (never produced by
         // the row serializer, which filters these upstream).
-        return "null";
+        out += "null";
+        return;
     }
-    return buf;
+    char buf[32];
+    char *end;
+    // Integers below 2^53 are exact in a long long. -0.0 converts to
+    // 0: both name the same simulation quantity everywhere in this
+    // codebase (see SimCache::key), so both spell "0".
+    if (std::fabs(v) < 0x1p53 && std::trunc(v) == v) {
+        end = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(v))
+                  .ptr;
+    } else {
+        // general with precision 17 is printf's %.17g in the C
+        // locale; 17 significant digits round-trip every double.
+        end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, 17)
+                  .ptr;
+    }
+    out.append(buf, end);
 }
 
 void
@@ -138,7 +146,7 @@ Json::dumpTo(std::string &out) const
         out += bool_ ? "true" : "false";
         break;
       case Type::Number:
-        out += numberToString(num_);
+        appendNumber(out, num_);
         break;
       case Type::String:
         appendJsonString(out, str_);

@@ -9,9 +9,10 @@
  *  - objects preserve insertion order, so a value serialized with
  *    dump() round-trips byte-identically and streamed result rows are
  *    deterministic (the byte-identity contract of docs/SERVICE.md);
- *  - numbers are doubles, serialized with %.17g when fractional (a
- *    round-trip-exact spelling) and as plain integers when integral,
- *    so equal doubles always produce equal bytes;
+ *  - numbers are doubles, serialized with std::to_chars: as plain
+ *    integers when integral (below 2^53), otherwise with the bytes of
+ *    printf's %.17g (a round-trip-exact spelling), so equal doubles
+ *    always produce equal bytes, in any locale;
  *  - parse() never throws and never aborts: malformed input returns
  *    false with a position-annotated error, which is what lets the
  *    server treat every inbound frame as hostile (tests/svc_test.cc
@@ -154,10 +155,12 @@ class Json
 /** Escape @p s as a JSON string literal (with quotes) onto @p out. */
 void appendJsonString(std::string &out, std::string_view s);
 
-/** Canonical number spelling shared by dump() and the row
- *  serializer: integers (fitting 2^53) print as integers, everything
- *  else as %.17g. Equal doubles yield equal bytes. */
-std::string numberToString(double v);
+/** Append the canonical spelling of @p v onto @p out without
+ *  allocating beyond @p out's growth: integers below 2^53 print as
+ *  integers (-0.0 as "0"), other finite values as %.17g would, and
+ *  inf/NaN as null. Shared by dump() and the row serializer; equal
+ *  doubles yield equal bytes. */
+void appendNumber(std::string &out, double v);
 
 } // namespace hirise::svc
 

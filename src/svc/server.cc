@@ -31,6 +31,17 @@ setNonBlocking(int fd)
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/** Resolved once, like the arbiters' counters: sendRaw runs for
+ *  every streamed row frame, and a by-name lookup takes the registry
+ *  mutex. */
+obs::Counter &
+bytesStreamedCounter()
+{
+    static obs::Counter &c =
+        obs::MetricsRegistry::global().counter("svc.bytes_streamed");
+    return c;
+}
+
 Json
 errorResponse(const std::string &msg)
 {
@@ -287,9 +298,7 @@ void
 Server::sendRaw(Conn &c, std::string_view payload)
 {
     frameAppend(c.out, payload);
-    obs::MetricsRegistry::global()
-        .counter("svc.bytes_streamed")
-        .inc(payload.size() + 4);
+    bytesStreamedCounter().inc(payload.size() + 4);
 }
 
 void
@@ -422,7 +431,7 @@ Server::opStatus(Conn &c)
     metrics.set("cache_disk_hits", double(cs.diskHits));
     metrics.set("cache_hit_rate", cs.hitRate());
     metrics.set("bytes_streamed",
-                double(m.counter("svc.bytes_streamed").value()));
+                double(bytesStreamedCounter().value()));
     metrics.set("jobs_submitted",
                 double(m.counter("svc.jobs_submitted").value()));
     metrics.set("jobs_done",

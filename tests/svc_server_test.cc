@@ -5,13 +5,19 @@
  * tools/campaign_client does. Covers the byte-identity contract
  * (daemon-streamed rows == direct runCampaign bytes), resubmission
  * served from the warm SimCache, results replay, cancellation of a
- * queued job, graceful-shutdown draining, and the checkpointed scalar
+ * queued job, graceful-shutdown draining, a slow reader whose stream
+ * overflows the socket buffer, and the checkpointed scalar
  * path (batch-identical output; cancel-mid-point leaves a snapshot
  * the next run resumes bit-identically).
  */
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -30,6 +36,7 @@ namespace {
 
 using svc::CampaignSpec;
 using svc::Client;
+using svc::FrameDecoder;
 using svc::Json;
 using svc::Server;
 using svc::ServerOptions;
@@ -402,6 +409,120 @@ TEST_F(ServerFixture, StatusReportsJobsAndMetrics)
     EXPECT_GE(m["jobs_done"].asNumber(), 1.0);
     EXPECT_TRUE(m.has("cache_hit_rate"));
     EXPECT_TRUE(m.has("bytes_streamed"));
+}
+
+TEST_F(ServerFixture, SlowReaderGetsByteIdenticalTranscript)
+{
+    // Rows of tiny points, over four times the socket's send buffer:
+    // the rest waits in the daemon's output buffer, so the flush
+    // comes back partial over and over while this client drains the
+    // stream 512 bytes at a time.
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    // Closed on every exit: the daemon's graceful shutdown in
+    // TearDown waits for this subscriber to drain or hang up.
+    struct FdCloser
+    {
+        int fd;
+        ~FdCloser() { ::close(fd); }
+    } closer{fd};
+    // The daemon's end of the connection starts with the same default
+    // send buffer as this fresh socket. The job is sized from it, so
+    // the stream overflows the buffer whatever the host's default is.
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    ASSERT_EQ(::getsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+
+    Json doc = smallSpecDoc();
+    std::string err;
+    ASSERT_TRUE(
+        svc::applySpecOverride(&doc, "sim.warmup_cycles=10", &err));
+    ASSERT_TRUE(
+        svc::applySpecOverride(&doc, "sim.measure_cycles=20", &err));
+    Json loads = Json::array();
+    for (int i = 1; i <= 80; ++i)
+        loads.push(0.005 * i);
+    doc.set("loads", std::move(loads));
+    std::vector<std::string> expected;
+    std::size_t rowBytes = 0; // framed bytes of the rows
+    for (int nSeeds = 50; rowBytes <= 4 * std::size_t(sndbuf);
+         nSeeds *= 2) {
+        Json seeds = Json::array();
+        for (int s = 1; s <= nSeeds; ++s)
+            seeds.push(double(s));
+        doc.set("seeds", std::move(seeds));
+        expected = localRows(doc);
+        rowBytes = 0;
+        for (const std::string &r : expected)
+            rowBytes += 4 + r.size();
+    }
+
+    timeval timeout{30, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::string path = dir_ + "/s.sock";
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    Json req = Json::object();
+    req.set("op", "submit");
+    req.set("spec", doc);
+    req.set("stream", true);
+    std::string wire = svc::frameEncode(req.dump());
+    ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              ssize_t(wire.size()));
+
+    // Let the job finish unread, so every row is queued behind a
+    // full socket before the first read.
+    auto c = connect();
+    ASSERT_NE(c, nullptr);
+    Json status = Json::object();
+    status.set("op", "status");
+    for (int i = 0; i < 6000; ++i) {
+        Json resp;
+        ASSERT_TRUE(c->request(status, &resp, &err)) << err;
+        if (resp["jobs"].at(0)["state"].asString() == "done")
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+
+    FrameDecoder dec;
+    std::vector<std::string> frames;
+    std::size_t wireBytes = 0;
+    char buf[512];
+    std::string payload;
+    bool done = false;
+    // The transcript is the rows plus two short frames; a daemon that
+    // repeats bytes must not keep this loop fed forever.
+    for (int reads = 0; !done && wireBytes < 2 * rowBytes; ++reads) {
+        if (reads % 64 == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ssize_t n = ::read(fd, buf, sizeof(buf));
+        if (n <= 0)
+            break;
+        wireBytes += std::size_t(n);
+        dec.feed(buf, std::size_t(n));
+        while (dec.next(&payload)) {
+            frames.push_back(payload);
+            done = payload.rfind("{\"done\":", 0) == 0;
+        }
+    }
+    ASSERT_TRUE(done) << "stream ended without a terminal frame";
+    EXPECT_GT(wireBytes, 4 * std::size_t(sndbuf));
+    // ack, the rows, terminal frame.
+    ASSERT_EQ(frames.size(), expected.size() + 2);
+    Json ack;
+    ASSERT_TRUE(Json::parse(frames.front(), &ack));
+    EXPECT_TRUE(ack["ok"].asBool()) << frames.front();
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(frames[i + 1], expected[i]) << "row " << i;
+    Json last;
+    ASSERT_TRUE(Json::parse(frames.back(), &last));
+    EXPECT_EQ(last["state"].asString(), "done");
+    EXPECT_EQ(last["rows"].asNumber(), double(expected.size()));
 }
 
 // -- checkpointed path (direct runCampaign, no daemon needed) ---------

@@ -2,23 +2,30 @@
  * @file
  * Service-layer unit tests: the frame codec (round-trip, incremental
  * reassembly, malformed/truncated/oversized rejection), the JSON
- * value/parser (round-trip determinism, hostile input), the campaign
- * spec format (defaults, validation mirroring SwitchSpec::validate,
- * includes, dotted-path overrides), and a seeded fuzz pass feeding
- * mutated spec documents through the parser — which must never
- * abort, only return (false, error).
+ * value/parser (round-trip determinism, hostile input), number
+ * spelling against a printf reference, pinned result-row bytes, the
+ * campaign spec format (defaults, validation mirroring
+ * SwitchSpec::validate, includes, dotted-path overrides), and a
+ * seeded fuzz pass feeding mutated spec documents through the parser
+ * — which must never abort, only return (false, error).
  */
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
+#include "sim/network_sim.hh"
+#include "svc/campaign.hh"
 #include "svc/campaign_spec.hh"
 #include "svc/frame.hh"
 #include "svc/json.hh"
@@ -148,17 +155,195 @@ TEST(SvcJson, ParseDumpRoundTripPreservesOrderAndBytes)
     EXPECT_EQ(v2.dump(), text);
 }
 
+/** svc::appendNumber() into a fresh string. */
+std::string
+spell(double v)
+{
+    std::string out;
+    svc::appendNumber(out, v);
+    return out;
+}
+
 TEST(SvcJson, NumberSpellingsAreCanonical)
 {
-    EXPECT_EQ(svc::numberToString(0.0), "0");
-    EXPECT_EQ(svc::numberToString(-0.0), "0");
-    EXPECT_EQ(svc::numberToString(42.0), "42");
-    EXPECT_EQ(svc::numberToString(-7.0), "-7");
+    EXPECT_EQ(spell(0.0), "0");
+    EXPECT_EQ(spell(-0.0), "0");
+    EXPECT_EQ(spell(42.0), "42");
+    EXPECT_EQ(spell(-7.0), "-7");
     // Round-trip-exact fractional spelling.
     double v = 0.1;
     Json parsed;
-    ASSERT_TRUE(Json::parse(svc::numberToString(v), &parsed));
+    ASSERT_TRUE(Json::parse(spell(v), &parsed));
     EXPECT_EQ(parsed.asNumber(), v);
+    // JSON has no inf/NaN.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(spell(inf), "null");
+    EXPECT_EQ(spell(-inf), "null");
+    EXPECT_EQ(spell(std::nan("")), "null");
+    // The 2^53 boundary: below it integers take the integer path, at
+    // and above it %.17g, whose spelling is the same digits until
+    // the exponent reaches 17.
+    EXPECT_EQ(spell(0x1p53 - 1), "9007199254740991");
+    EXPECT_EQ(spell(-(0x1p53 - 1)), "-9007199254740991");
+    EXPECT_EQ(spell(0x1p53), "9007199254740992");
+    EXPECT_EQ(spell(-0x1p53), "-9007199254740992");
+    EXPECT_EQ(spell(0x1p53 + 2), "9007199254740994");
+    EXPECT_EQ(spell(0x1p54), "18014398509481984");
+    EXPECT_EQ(spell(1e17), "1e+17");
+    std::string appended = "x";
+    svc::appendNumber(appended, 0.25);
+    svc::appendNumber(appended, -0.0);
+    EXPECT_EQ(appended, "x0.250");
+}
+
+/** The spelling svc numbers had when they were built on printf:
+ *  the reference the to_chars spelling must match byte for byte. */
+std::string
+printfSpelling(double v)
+{
+    if (v == 0.0)
+        return "0";
+    if (!std::isfinite(v))
+        return "null";
+    char buf[40];
+    if (std::round(v) == v && std::fabs(v) < 0x1p53)
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+    else
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+TEST(SvcJson, NumberSpellingMatchesPrintfReference)
+{
+    // Seeded families of doubles: raw bit patterns (NaN and inf
+    // included), uniform fractions, values scaled across the decimal
+    // range, rounded decimals, integers around 2^53 and beyond,
+    // subnormals, ratios of counters (the shape of simulation
+    // averages) and powers of two over the whole exponent range.
+    Rng rng(20261018);
+    const int kSamples = 240000;
+    int mismatches = 0;
+    for (int i = 0; i < kSamples; ++i) {
+        const double sign = (rng.next() & 1) ? -1.0 : 1.0;
+        double v = 0.0;
+        switch (i % 8) {
+          case 0:
+            v = std::bit_cast<double>(rng.next());
+            break;
+          case 1:
+            v = rng.uniform();
+            break;
+          case 2:
+            v = sign * rng.uniform() *
+                std::pow(10.0, double(rng.below(61)) - 30.0);
+            break;
+          case 3: {
+            double scale = std::pow(10.0, double(rng.below(7)));
+            v = sign * std::round(rng.uniform() * 1e4 * scale) / scale;
+            break;
+          }
+          case 4:
+            if (rng.next() & 1)
+                v = sign * (0x1p53 + double(rng.below(9)) - 4.0);
+            else
+                v = sign * double(rng.next() >> rng.below(64));
+            break;
+          case 5:
+            v = sign * std::bit_cast<double>(rng.next() &
+                                             ((std::uint64_t(1) << 52) -
+                                              1));
+            break;
+          case 6:
+            v = double(rng.below(1u << 30)) /
+                double(1 + rng.below(1u << 20));
+            break;
+          default:
+            v = sign * std::ldexp(1.0, int(rng.below(2098)) - 1074);
+            break;
+        }
+        const std::string want = printfSpelling(v);
+        const std::string got = spell(v);
+        if (got != want && ++mismatches <= 10) {
+            ADD_FAILURE() << std::hexfloat << v << ": got " << got
+                          << ", printf spells " << want;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+// -- result rows ------------------------------------------------------
+
+TEST(SvcRow, RowBytesArePinned)
+{
+    // Expected strings were captured from the printf-based
+    // serializer; they are the byte-identity contract of
+    // docs/SERVICE.md, so a change here is a protocol change.
+    {
+        sim::RunPoint pt{0.1, 1};
+        sim::SimResult r;
+        r.offeredFlitsPerCycle = 0.1;
+        r.acceptedFlitsPerCycle = 1.0 / 3.0;
+        r.avgLatencyCycles = 12.345678901234567;
+        r.p99LatencyCycles = 0x1p53;
+        r.avgQueueingCycles = 0x1p53 + 2;
+        r.packetsDelivered = 123456789;
+        r.inFlightAtMeasureEnd = 0;
+        r.latencyOverflowPackets = std::uint64_t(1) << 60;
+        r.packetsDropped = 7;
+        r.fairness = -0.0;
+        EXPECT_EQ(
+            svc::resultRow(0, pt, r),
+            "{\"row\":0,\"load\":0.10000000000000001,\"seed\":1,"
+            "\"offered_fpc\":0.10000000000000001,"
+            "\"accepted_fpc\":0.33333333333333331,"
+            "\"avg_latency\":12.345678901234567,"
+            "\"p99_latency\":9007199254740992,"
+            "\"avg_queueing\":9007199254740994,\"packets\":123456789,"
+            "\"in_flight\":0,\"latency_overflow\":1.152921504606847e+18,"
+            "\"dropped\":7,\"fairness\":0}");
+    }
+    {
+        sim::RunPoint pt{1e300, 0xffffffffffffffffull};
+        sim::SimResult r;
+        r.offeredFlitsPerCycle = 4.9406564584124654e-324;
+        r.acceptedFlitsPerCycle = -0.0;
+        r.avgLatencyCycles = 1e300;
+        r.p99LatencyCycles = -(0x1p53 - 1);
+        r.avgQueueingCycles = 2.5e-5;
+        r.packetsDelivered = 0xffffffffffffffffull;
+        r.inFlightAtMeasureEnd = 9007199254740993ull;
+        r.fairness = 0.99999999999999989;
+        EXPECT_EQ(
+            svc::resultRow(12345, pt, r),
+            "{\"row\":12345,\"load\":1.0000000000000001e+300,"
+            "\"seed\":1.8446744073709552e+19,"
+            "\"offered_fpc\":4.9406564584124654e-324,"
+            "\"accepted_fpc\":0,\"avg_latency\":1.0000000000000001e+300,"
+            "\"p99_latency\":-9007199254740991,"
+            "\"avg_queueing\":2.5000000000000001e-05,"
+            "\"packets\":1.8446744073709552e+19,"
+            "\"in_flight\":9007199254740992,\"latency_overflow\":0,"
+            "\"dropped\":0,\"fairness\":0.99999999999999989}");
+    }
+    {
+        sim::RunPoint pt{0.5, 9007199254740992ull};
+        sim::SimResult r;
+        r.offeredFlitsPerCycle = 1e16;
+        r.acceptedFlitsPerCycle = 2.2250738585072014e-308;
+        r.avgLatencyCycles = 1e21;
+        r.p99LatencyCycles = 123.0;
+        r.avgQueueingCycles = -1.5;
+        r.packetsDelivered = 42;
+        r.fairness = 1.0;
+        EXPECT_EQ(
+            svc::resultRow(799, pt, r),
+            "{\"row\":799,\"load\":0.5,\"seed\":9007199254740992,"
+            "\"offered_fpc\":10000000000000000,"
+            "\"accepted_fpc\":2.2250738585072014e-308,"
+            "\"avg_latency\":1e+21,\"p99_latency\":123,"
+            "\"avg_queueing\":-1.5,\"packets\":42,\"in_flight\":0,"
+            "\"latency_overflow\":0,\"dropped\":0,\"fairness\":1}");
+    }
 }
 
 TEST(SvcJson, RejectsMalformedInput)
