@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "noc/mesh.hh"
+#include "noc/graph_noc.hh"
 #include "phys/model.hh"
 
 int
@@ -23,32 +23,32 @@ main(int argc, char **argv)
     std::uint32_t h = argc > 2 ? std::atoi(argv[2]) : 4;
     double load_pns = argc > 3 ? std::atof(argv[3]) : 0.02;
 
-    noc::MeshConfig hr;
-    hr.width = w;
-    hr.height = h;
-    hr.router.topo = Topology::HiRise;
-    hr.router.radix = 64;
-    hr.router.layers = 4;
-    hr.router.channels = 4;
-    hr.router.arb = ArbScheme::Clrg;
+    SwitchSpec hr;
+    hr.topo = Topology::HiRise;
+    hr.radix = 64;
+    hr.layers = 4;
+    hr.channels = 4;
+    hr.arb = ArbScheme::Clrg;
 
-    noc::MeshConfig flat = hr;
-    flat.router = SwitchSpec{};
-    flat.router.topo = Topology::Flat2D;
-    flat.router.radix = 52; // 48 local + 4 mesh ports per router
-    flat.router.arb = ArbScheme::Lrg;
+    SwitchSpec flat;
+    flat.topo = Topology::Flat2D;
+    flat.radix = 52; // 48 local + 4 mesh ports per router
+    flat.arb = ArbScheme::Lrg;
 
     phys::PhysModel model;
-    double f_hr = model.evaluate(hr.router).freqGhz;
-    double f_2d = model.evaluate(flat.router).freqGhz;
+    double f_hr = model.evaluate(hr).freqGhz;
+    double f_2d = model.evaluate(flat).freqGhz;
 
+    auto hr_mesh = noc::LowRadixMesh::ofRouters(w, h, hr);
     std::printf("mesh %ux%u, %u nodes/router, %u nodes total, "
                 "uniform random @ %.3f packets/node/ns\n\n",
-                w, h, hr.localPerRouter(), hr.totalNodes(), load_pns);
+                w, h, hr_mesh->concentration(), hr_mesh->numNodes(),
+                load_pns);
 
-    auto report = [&](const char *label, noc::MeshConfig &cfg,
+    auto report = [&](const char *label, const SwitchSpec &router,
                       double freq) {
-        noc::MeshNoc mesh(cfg);
+        noc::GraphNoc mesh(noc::LowRadixMesh::ofRouters(w, h, router),
+                           router);
         auto r = mesh.run(load_pns / freq, 4000, 16000);
         bool sat =
             r.acceptedPktsPerCycle < 0.95 * r.offeredPktsPerCycle;
@@ -61,7 +61,7 @@ main(int argc, char **argv)
         std::printf("%-24s %.2f GHz  lat %-12s accepted %.1f "
                     "packets/ns  avg %.2f hops\n",
                     label, freq, lat, r.acceptedPktsPerCycle * freq,
-                    r.avgHops);
+                    r.avgRouterHops);
     };
 
     report("mesh of Hi-Rise (3D)", hr, f_hr);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/hash.hh"
+
 namespace hirise::snap {
 
 namespace {
@@ -20,12 +22,9 @@ struct FileHeader
 std::uint64_t
 fnv1a(const std::uint8_t *p, std::size_t n)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    Fnv1a h;
+    h.bytes(p, n);
+    return h.value();
 }
 
 } // namespace

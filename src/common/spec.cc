@@ -63,38 +63,48 @@ isFlatScheme(ArbScheme a)
            a == ArbScheme::Pim || a == ArbScheme::Wavefront;
 }
 
+std::string
+SwitchSpec::check() const
+{
+    using detail::format;
+    if (radix < 2)
+        return format("radix must be >= 2 (got %u)", radix);
+    if (flitBits == 0)
+        return "flitBits must be > 0";
+    if (schedIters < 1)
+        return "schedulers need >= 1 iteration per cycle";
+    if (topo == Topology::Flat2D) {
+        if (!isFlatScheme(arb))
+            return "a flat 2D switch only supports the single-stage "
+                   "crossbar schedulers (LRG, iSLIP, PIM, WF)";
+        return {};
+    }
+    if (layers < 2)
+        return format("3D topologies need >= 2 layers (got %u)", layers);
+    if (topo == Topology::Folded3D && arb != ArbScheme::Lrg)
+        return "the folded 3D switch uses flat LRG arbitration";
+    if (topo == Topology::HiRise) {
+        if (channels < 1)
+            return "channel multiplicity must be >= 1";
+        if (isFlatScheme(arb))
+            return "HiRise needs a two-phase scheme "
+                   "(LayerLrg, Wlrg, or Clrg)";
+        std::uint32_t ppl = portsPerLayer();
+        if (alloc == ChannelAlloc::InputBinned && channels > ppl)
+            return format("more channels (%u) than inputs per layer (%u)",
+                          channels, ppl);
+        if (clrgMaxCount < 1)
+            return "CLRG needs at least 2 classes (maxCount >= 1)";
+    }
+    return {};
+}
+
 void
 SwitchSpec::validate() const
 {
-    if (radix < 2)
-        fatal("radix must be >= 2 (got %u)", radix);
-    if (flitBits == 0)
-        fatal("flitBits must be > 0");
-    if (schedIters < 1)
-        fatal("schedulers need >= 1 iteration per cycle");
-    if (topo == Topology::Flat2D) {
-        if (!isFlatScheme(arb))
-            fatal("a flat 2D switch only supports the single-stage "
-                  "crossbar schedulers (LRG, iSLIP, PIM, WF)");
-        return;
-    }
-    if (layers < 2)
-        fatal("3D topologies need >= 2 layers (got %u)", layers);
-    if (topo == Topology::Folded3D && arb != ArbScheme::Lrg)
-        fatal("the folded 3D switch uses flat LRG arbitration");
-    if (topo == Topology::HiRise) {
-        if (channels < 1)
-            fatal("channel multiplicity must be >= 1");
-        if (isFlatScheme(arb))
-            fatal("HiRise needs a two-phase scheme "
-                  "(LayerLrg, Wlrg, or Clrg)");
-        std::uint32_t ppl = portsPerLayer();
-        if (alloc == ChannelAlloc::InputBinned && channels > ppl)
-            fatal("more channels (%u) than inputs per layer (%u)",
-                  channels, ppl);
-        if (clrgMaxCount < 1)
-            fatal("CLRG needs at least 2 classes (maxCount >= 1)");
-    }
+    std::string err = check();
+    if (!err.empty())
+        fatal("%s", err.c_str());
 }
 
 } // namespace hirise

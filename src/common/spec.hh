@@ -88,7 +88,12 @@ struct SwitchSpec
     /** Short human-readable description, e.g. "HiRise r64 L4 c4 CLRG". */
     std::string name() const;
 
-    /** fatal()s if the configuration is inconsistent. */
+    /** The first rule this configuration violates, or an empty
+     *  string when it is consistent. */
+    std::string check() const;
+
+    /** fatal()s with check()'s message if the configuration is
+     *  inconsistent. */
     void validate() const;
 };
 

@@ -40,8 +40,6 @@ benchMain(int argc, char **argv,
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             opt.quick = true;
-        } else if (std::strcmp(argv[i], "--dense") == 0) {
-            opt.dense = true;
         } else if (std::strcmp(argv[i], "--csv") == 0 &&
                    i + 1 < argc) {
             csv_dir = argv[++i];

@@ -3,7 +3,6 @@
  * Shared main() for the per-table/per-figure bench binaries.
  * Supports:
  *   --quick                shorter simulations (CI-friendly)
- *   --dense                dense per-cycle stepping (A/B reference)
  *   --csv <dir>            also write each table as CSV into <dir>
  *   --seed <n>             change the simulation seed
  *   --threads <n>          size the global worker pool

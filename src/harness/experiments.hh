@@ -21,13 +21,8 @@ namespace hirise::harness {
 /** Knobs for experiment duration (quick mode for CI/tests). */
 struct ExperimentOptions
 {
-    bool quick = false;
+    bool quick = false; //!< first member: ExperimentOptions{true}
     std::uint64_t seed = 1;
-    /** Run on the dense per-cycle reference core instead of the
-     *  event-driven core (--dense). Results are bit-identical either
-     *  way; this exists for A/B perf comparison and belt-and-braces
-     *  validation of published numbers. */
-    bool dense = false;
 
     sim::SimConfig
     simConfig() const
@@ -36,7 +31,6 @@ struct ExperimentOptions
         cfg.warmupCycles = quick ? 2000 : 10000;
         cfg.measureCycles = quick ? 8000 : 50000;
         cfg.seed = seed;
-        cfg.denseStepping = dense;
         return cfg;
     }
 };

@@ -11,7 +11,7 @@
 #include "harness/experiments.hh"
 
 #include "common/parallel.hh"
-#include "noc/mesh.hh"
+#include "noc/graph_noc.hh"
 #include "phys/model.hh"
 
 namespace hirise::harness {
@@ -25,30 +25,17 @@ kiloCore(const ExperimentOptions &opt)
     t.header({"Load(p/node/ns)", "HiRise-mesh lat", "HiRise-mesh "
               "acc", "2D-mesh lat", "2D-mesh acc"});
 
-    noc::MeshConfig hr;
-    hr.width = 4;
-    hr.height = 4;
-    hr.router.topo = Topology::HiRise;
-    hr.router.radix = 64;
-    hr.router.layers = 4;
-    hr.router.channels = 4;
-    hr.router.arb = ArbScheme::Clrg;
-
-    noc::MeshConfig flat;
-    flat.width = 4;
-    flat.height = 4;
-    flat.router.topo = Topology::Flat2D;
-    flat.router.radix = 52; // 48 local + 4 mesh ports
-    flat.router.arb = ArbScheme::Lrg;
+    const SwitchSpec hr = specHiRise(4, ArbScheme::Clrg);
+    const SwitchSpec flat = spec2d(52); // 48 local + 4 mesh ports
 
     phys::PhysModel model;
-    double f_hr = model.evaluate(hr.router).freqGhz;
-    double f_flat = model.evaluate(flat.router).freqGhz;
+    double f_hr = model.evaluate(hr).freqGhz;
+    double f_flat = model.evaluate(flat).freqGhz;
 
     net::Cycle warm = opt.quick ? 1000 : 4000;
     net::Cycle meas = opt.quick ? 4000 : 16000;
 
-    auto cell = [](const noc::MeshResult &r, double f,
+    auto cell = [](const noc::GraphResult &r, double f,
                    std::vector<std::string> &row) {
         bool sat = r.acceptedPktsPerCycle <
                    0.95 * r.offeredPktsPerCycle;
@@ -71,9 +58,9 @@ kiloCore(const ExperimentOptions &opt)
         cells.push_back({load_pns, false});
     }
     auto results = parallelMap(cells, [&](const Cell &c) {
-        noc::MeshConfig mc = c.hirise ? hr : flat;
-        mc.seed = opt.seed;
-        noc::MeshNoc m(mc);
+        const SwitchSpec &router = c.hirise ? hr : flat;
+        noc::GraphNoc m(noc::LowRadixMesh::ofRouters(4, 4, router),
+                        router, 4, 4, opt.seed);
         double f = c.hirise ? f_hr : f_flat;
         return m.run(c.loadPns / f, warm, meas);
     });

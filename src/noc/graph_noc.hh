@@ -1,17 +1,27 @@
 /**
  * @file
- * Generic cycle-level simulator for router-graph topologies (the
- * low-radix mesh and flattened-butterfly baselines of the paper's
- * discussion section). Routers are input-queued crossbars with LRG
- * output arbitration and the same connection-held timing as the rest
- * of this repository: one arbitration cycle, then one flit per cycle,
- * with virtual cut-through hand-off between routers.
+ * The one cycle-level NoC engine: every router-graph network in this
+ * repository (the low-radix mesh and flattened-butterfly baselines of
+ * the paper's discussion section, and the kilo-core mesh of Hi-Rise
+ * switches of section VI-E) steps here. Each router is an
+ * input-queued fabric::Fabric — flat LRG crossbars by default, or the
+ * switch a SwitchSpec names — with the same connection-held timing as
+ * the rest of this repository: one arbitration cycle, then one flit
+ * per cycle, with virtual cut-through hand-off between routers. A
+ * grant is only requested when the downstream input FIFO has a free
+ * packet slot, which with dimension-ordered routing keeps the network
+ * deadlock-free.
+ *
+ * Where a hop has parallel links (one per layer of a 3D router), the
+ * packet takes adaptive Z routing: among the links with a downstream
+ * credit, the least occupied one, preferring the destination node's
+ * layer and then the lowest layer.
  *
  * The topology's routing, links, node attachment and wire lengths are
  * tabulated at construction, so stepping makes no virtual Topology
- * call. Per-router bitsets of waiting and connected inputs let a step
- * skip idle ports; FIFOs are ring buffers and the per-output request
- * sets are reused bitsets, so a step does not allocate.
+ * call. Per-router bitsets of waiting and connected inputs, and one of
+ * nodes with a queued packet, let a step skip idle ports and nodes;
+ * FIFOs are ring buffers, so a step does not allocate.
  */
 
 #ifndef HIRISE_NOC_GRAPH_NOC_HH
@@ -21,11 +31,12 @@
 #include <memory>
 #include <vector>
 
-#include "arb/matrix_arbiter.hh"
 #include "common/bitvec.hh"
 #include "common/random.hh"
 #include "common/ring_buffer.hh"
+#include "common/spec.hh"
 #include "common/stats.hh"
+#include "fabric/fabric.hh"
 #include "net/packet.hh"
 #include "noc/topology.hh"
 
@@ -44,6 +55,12 @@ struct GraphResult
 class GraphNoc
 {
   public:
+    /** Routers are @p router switches of the topology's radix. */
+    GraphNoc(std::shared_ptr<Topology> topo, const SwitchSpec &router,
+             std::uint32_t packet_len = 4, std::uint32_t fifo_pkts = 4,
+             std::uint64_t seed = 1);
+
+    /** Routers are flat LRG crossbars of the topology's radix. */
     GraphNoc(std::shared_ptr<Topology> topo,
              std::uint32_t packet_len = 4,
              std::uint32_t fifo_pkts = 4, std::uint64_t seed = 1);
@@ -92,10 +109,9 @@ class GraphNoc
 
     struct Router
     {
+        std::unique_ptr<fabric::Fabric> fabric;
         std::vector<RingBuffer<QPkt>> fifo; //!< per input port
         std::vector<std::uint32_t> reserved;
-        std::vector<arb::MatrixArbiter> outArb;
-        std::vector<std::uint32_t> outHolder; //!< input or kNone
         std::vector<Conn> conn;
         BitVec waiting;   //!< inputs with a queued packet, no connection
         BitVec connected; //!< inputs holding a connection
@@ -112,13 +128,12 @@ class GraphNoc
 
     static constexpr std::uint32_t kNone = ~0u;
 
-    /** Output port at @p router for a packet to @p dst_node (the
-     *  node's ejection port at its own router). */
-    std::uint32_t
-    routePort(std::uint32_t router, std::uint32_t dst_node) const
-    {
-        return route_[std::size_t(router) * nodes_ + dst_node];
-    }
+    /** Output port at @p router for a packet to @p dst_node: the
+     *  node's ejection port at its own router, else the adaptive-Z
+     *  choice among the hop's parallel links, or kNone when no link
+     *  has a downstream credit. */
+    std::uint32_t pickPort(std::uint32_t router,
+                           std::uint32_t dst_node) const;
     /** Table index of (router, port). */
     std::size_t
     portIdx(std::uint32_t router, std::uint32_t port) const
@@ -127,21 +142,24 @@ class GraphNoc
     }
 
     std::shared_ptr<Topology> topo_;
-    std::uint32_t radix_, conc_, nodes_;
+    std::uint32_t radix_, nodes_;
+    std::uint32_t layers_, portsPerLayer_;
     std::uint32_t packetLen_;
     std::uint32_t fifoPkts_;
     std::vector<Router> routers_;
     std::vector<RingBuffer<QPkt>> source_; //!< per node
+    BitVec queued_; //!< nodes with a non-empty source queue
 
     // Topology tables, filled at construction.
     std::vector<std::uint32_t> route_; //!< [router * nodes + dst node]
     std::vector<PortRef> link_;        //!< [portIdx], far end
     std::vector<float> wireMm_;        //!< [portIdx], wire length
     std::vector<PortRef> attach_;      //!< [node]
+    std::vector<std::uint32_t> nodeLayer_; //!< [node]
 
     // Arbitration scratch, reused by every router in turn.
-    std::vector<BitVec> want_; //!< per output: requesting inputs
-    BitVec wantedOuts_;        //!< outputs with any request
+    std::vector<std::uint32_t> req_;    //!< per input; kNoRequest idle
+    std::vector<std::uint32_t> active_; //!< requesting inputs, ascending
     std::function<void(std::uint64_t)> deliverFn_;
     Rng rng_;
 

@@ -8,51 +8,63 @@ namespace hirise::noc {
 // LowRadixMesh
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** Mesh inter-router port order after the node ports: N, E, S, W. */
-enum MeshDir : std::uint32_t
+LowRadixMesh::LowRadixMesh(std::uint32_t width, std::uint32_t height,
+                           std::uint32_t local_per_layer,
+                           std::uint32_t layers, double tile_mm)
+    : width_(width), height_(height), local_(local_per_layer),
+      layers_(layers), tileMm_(tile_mm)
 {
-    MN = 0,
-    ME = 1,
-    MS = 2,
-    MW = 3
-};
+    if (width < 2 || height < 2)
+        fatal("mesh needs at least 2x2 routers");
+    if (local_per_layer < 1 || layers < 1)
+        fatal("mesh routers need a node port on each of >= 1 layers");
+}
 
-} // namespace
-
-LowRadixMesh::LowRadixMesh(std::uint32_t k, std::uint32_t concentration,
-                           double tile_mm)
-    : k_(k), conc_(concentration), tileMm_(tile_mm)
+std::shared_ptr<LowRadixMesh>
+LowRadixMesh::ofRouters(std::uint32_t width, std::uint32_t height,
+                        const SwitchSpec &router, double tile_mm)
 {
-    sim_assert(k >= 2 && concentration >= 1, "bad mesh shape");
+    router.validate();
+    const std::uint32_t layers =
+        router.topo == hirise::Topology::Flat2D ? 1 : router.layers;
+    if (router.radix % layers != 0)
+        fatal("router radix %u must divide evenly over %u layers",
+              router.radix, layers);
+    if (router.radix / layers <= NumDirections)
+        fatal("router needs more than %u ports per layer",
+              NumDirections);
+    return std::make_shared<LowRadixMesh>(
+        width, height, router.radix / layers - NumDirections, layers,
+        tile_mm);
 }
 
 PortRef
 LowRadixMesh::link(std::uint32_t router, std::uint32_t port) const
 {
     PortRef out;
-    if (port < conc_)
+    const std::uint32_t layer = port / portsPerLayer();
+    const std::uint32_t within = port % portsPerLayer();
+    if (within < local_)
         return out; // node port
-    std::uint32_t d = port - conc_;
-    std::uint32_t x = router % k_, y = router / k_;
+    const auto d = static_cast<Direction>(within - local_);
+    std::uint32_t x = router % width_, y = router / width_;
     switch (d) {
-      case MN:
+      case North:
         if (y == 0)
             return out;
         --y;
         break;
-      case ME:
-        if (x + 1 == k_)
+      case East:
+        if (x + 1 == width_)
             return out;
         ++x;
         break;
-      case MS:
-        if (y + 1 == k_)
+      case South:
+        if (y + 1 == height_)
             return out;
         ++y;
         break;
-      case MW:
+      case West:
         if (x == 0)
             return out;
         --x;
@@ -60,27 +72,37 @@ LowRadixMesh::link(std::uint32_t router, std::uint32_t port) const
       default:
         return out;
     }
-    static constexpr std::uint32_t kOpp[4] = {MS, MW, MN, ME};
-    out.router = y * k_ + x;
-    out.port = conc_ + kOpp[d];
+    static constexpr Direction kOpp[NumDirections] = {South, West, North,
+                                                      East};
+    out.router = y * width_ + x;
+    out.port = meshPort(kOpp[d], layer);
     out.valid = true;
     return out;
+}
+
+bool
+LowRadixMesh::xyRoute(std::uint32_t rx, std::uint32_t ry,
+                      std::uint32_t dx, std::uint32_t dy,
+                      Direction &out)
+{
+    if (rx != dx)
+        out = rx < dx ? East : West;
+    else if (ry != dy)
+        out = ry < dy ? South : North;
+    else
+        return false;
+    return true;
 }
 
 std::uint32_t
 LowRadixMesh::route(std::uint32_t router,
                     std::uint32_t dst_router) const
 {
-    std::uint32_t x = router % k_, y = router / k_;
-    std::uint32_t dx = dst_router % k_, dy = dst_router / k_;
-    if (x < dx)
-        return conc_ + ME;
-    if (x > dx)
-        return conc_ + MW;
-    if (y < dy)
-        return conc_ + MS;
-    sim_assert(y > dy, "route called at destination router");
-    return conc_ + MN;
+    Direction d;
+    bool hop = xyRoute(router % width_, router / width_,
+                       dst_router % width_, dst_router / width_, d);
+    sim_assert(hop, "route called at destination router");
+    return meshPort(d, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/hash.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -713,12 +714,9 @@ NetworkSim::configKey() const
     s += "pat:" + pattern_->descriptor() + ";";
     if (faultsOn_)
         s += faultMgr_.schedule().descriptor();
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    Fnv1a h;
+    h.str(s);
+    return h.value();
 }
 
 void

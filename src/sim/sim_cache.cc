@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
@@ -74,47 +75,20 @@ class DirLock
     int fd_ = -1;
 };
 
-class Fnv1a
+/** Doubles hash via their bit pattern, canonicalized first: the
+ *  simulation cannot distinguish -0.0 from 0.0 (sweep arithmetic like
+ *  `lo + 0.5 * (hi - lo)` produces either spelling for the same
+ *  injection rate), so both must map to one key. NaN has no canonical
+ *  bit pattern and never names a valid simulation point, so it is
+ *  rejected outright. */
+void
+hashDouble(Fnv1a &h, double v)
 {
-  public:
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h_ ^= b[i];
-            h_ *= 0x100000001b3ull;
-        }
-    }
-
-    template <typename T>
-    void
-    pod(T v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        bytes(&v, sizeof(v));
-    }
-
-    /** Doubles hash via their bit pattern, canonicalized first: the
-     *  simulation cannot distinguish -0.0 from 0.0 (sweep arithmetic
-     *  like `lo + 0.5 * (hi - lo)` produces either spelling for the
-     *  same injection rate), so both must map to one key. NaN has no
-     *  canonical bit pattern and never names a valid simulation
-     *  point, so it is rejected outright. */
-    void
-    d(double v)
-    {
-        sim_assert(!std::isnan(v), "NaN in simulation cache key");
-        if (v == 0.0)
-            v = 0.0; // -0.0 == 0.0 compares true; store +0.0 bits
-        pod(std::bit_cast<std::uint64_t>(v));
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+    sim_assert(!std::isnan(v), "NaN in simulation cache key");
+    if (v == 0.0)
+        v = 0.0; // -0.0 == 0.0 compares true; store +0.0 bits
+    h.pod(std::bit_cast<std::uint64_t>(v));
+}
 
 /** Fixed on-disk field order; any layout change requires a
  *  kSimCacheVersion bump. */
@@ -178,7 +152,7 @@ SimCache::key(const SwitchSpec &spec, const SimConfig &cfg,
     h.pod(cfg.numVcs);
     h.pod(cfg.vcDepth);
     h.pod(cfg.packetLen);
-    h.d(cfg.injectionRate);
+    hashDouble(h, cfg.injectionRate);
     h.pod(cfg.warmupCycles);
     h.pod(cfg.measureCycles);
     h.pod(cfg.seed);

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "traffic/pattern.hh"
 
 namespace hirise::svc {
@@ -162,44 +163,20 @@ getEnum(Ctx &c, const Json &obj, const char *key,
     return true;
 }
 
-/** Mirror of SwitchSpec::validate() with error returns instead of
- *  fatal(): the daemon parses hostile specs and must never exit. Keep
- *  the two in sync. */
+/** SwitchSpec::check() with error returns instead of fatal(): the
+ *  daemon parses hostile specs and must never exit. The wire format
+ *  also bounds the radix, so a spec cannot make the daemon allocate
+ *  an arbitrarily large switch. */
 bool
 checkSwitch(Ctx &c, const SwitchSpec &s)
 {
-    auto isFlatScheme = [](ArbScheme a) {
-        return a == ArbScheme::Lrg || a == ArbScheme::Islip ||
-               a == ArbScheme::Pim || a == ArbScheme::Wavefront;
-    };
-    if (s.radix < 2 || s.radix > 4096)
+    if (s.radix > 4096)
         return c.fail("switch.radix must be in [2, 4096]");
-    if (s.flitBits == 0)
-        return c.fail("switch.flit_bits must be > 0");
-    if (s.schedIters < 1)
-        return c.fail("switch.sched_iters must be >= 1");
-    if (s.topo == Topology::Flat2D) {
-        if (!isFlatScheme(s.arb))
-            return c.fail("a flat2d switch only supports "
-                          "lrg|islip|pim|wavefront arbitration");
-        return true;
-    }
-    if (s.layers < 2 || s.layers > s.radix)
+    if (s.topo != Topology::Flat2D && s.layers > s.radix)
         return c.fail("3D topologies need 2 <= layers <= radix");
-    if (s.topo == Topology::Folded3D && s.arb != ArbScheme::Lrg)
-        return c.fail("a folded3d switch uses lrg arbitration");
-    if (s.topo == Topology::HiRise) {
-        if (s.channels < 1)
-            return c.fail("switch.channels must be >= 1");
-        if (isFlatScheme(s.arb))
-            return c.fail("hirise needs layer-lrg, wlrg, or clrg "
-                          "arbitration");
-        if (s.alloc == ChannelAlloc::InputBinned &&
-            s.channels > s.portsPerLayer())
-            return c.fail("more channels than inputs per layer");
-        if (s.clrgMaxCount < 1)
-            return c.fail("switch.clrg_max_count must be >= 1");
-    }
+    std::string err = s.check();
+    if (!err.empty())
+        return c.fail("switch: " + err);
     return true;
 }
 
@@ -434,13 +411,9 @@ CampaignSpec::toJson() const
 std::uint64_t
 CampaignSpec::hash() const
 {
-    std::string canon = toJson().dump();
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char b : canon) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    Fnv1a h;
+    h.str(toJson().dump());
+    return h.value();
 }
 
 bool

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace hirise::traffic {
@@ -17,14 +18,8 @@ TraceReplay::TraceReplay(std::vector<TraceRecord> records,
                      [](const TraceRecord &a, const TraceRecord &b) {
                          return a.cycle < b.cycle;
                      });
-    digest_ = 0xcbf29ce484222325ull;
-    auto mix = [this](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            digest_ ^= (v >> (8 * i)) & 0xff;
-            digest_ *= 0x100000001b3ull;
-        }
-    };
-    mix(radix);
+    Fnv1a h;
+    h.pod(std::uint64_t{radix});
     for (const auto &r : records) {
         if (r.src >= radix || r.dst >= radix)
             fatal("trace record (%llu, %u, %u) outside radix %u",
@@ -32,11 +27,12 @@ TraceReplay::TraceReplay(std::vector<TraceRecord> records,
                   r.dst, radix);
         if (r.src == r.dst)
             fatal("trace record with src == dst == %u", r.src);
-        mix(r.cycle);
-        mix((static_cast<std::uint64_t>(r.src) << 32) | r.dst);
+        h.pod(r.cycle);
+        h.pod((static_cast<std::uint64_t>(r.src) << 32) | r.dst);
         perSrc_[r.src].push_back(r);
         ++pending_;
     }
+    digest_ = h.value();
 }
 
 TraceReplay

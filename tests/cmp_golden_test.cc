@@ -8,7 +8,9 @@
  *  - MsgSwitch alone under random traffic (its backlog average is
  *    not part of SystemResult);
  *  - GraphNoc on the 8x8 low-radix mesh and the flattened butterfly;
- *  - the kilo-core MeshNoc with Hi-Rise and flat routers.
+ *  - the kilo-core mesh of Hi-Rise and of flat routers on GraphNoc,
+ *    including a non-square overloaded mesh and a second run() on one
+ *    object (captured on the former MeshNoc engine).
  * Every double is compared with == (bit-exact); per-core CMP counters
  * are compared through their sums and an FNV-1a digest of the
  * (retired, misses, stallCycles) sequence, and the MsgSwitch delivery
@@ -35,7 +37,6 @@
 #include "common/random.hh"
 #include "harness/experiments.hh"
 #include "noc/graph_noc.hh"
-#include "noc/mesh.hh"
 
 using namespace hirise;
 
@@ -272,29 +273,38 @@ TEST(GraphNocGolden, FlattenedButterflyIsBitIdentical)
                 2.5166588456123975, 5.0283122164867757, 6393);
 }
 
-// -- MeshNoc -------------------------------------------------------------
+// -- Kilo-core mesh of switches on GraphNoc -----------------------------
+//
+// Captured on the former MeshNoc engine (a std::deque-queued copy of
+// GraphNoc's step loop that scanned every router port each cycle);
+// the test ids keep its name.
+
+/** A @p width x @p height mesh of @p router switches. */
+noc::GraphNoc
+switchMesh(const SwitchSpec &router, std::uint32_t width,
+           std::uint32_t height, std::uint64_t seed)
+{
+    return noc::GraphNoc(
+        noc::LowRadixMesh::ofRouters(width, height, router), router, 4,
+        4, seed);
+}
 
 /** The kilo-core study's 4x4 mesh (harness kiloCore). */
-noc::MeshResult
-runMesh(const SwitchSpec &router)
+noc::GraphResult
+runMesh(const SwitchSpec &router, std::uint64_t seed = 13)
 {
-    noc::MeshConfig mc;
-    mc.width = 4;
-    mc.height = 4;
-    mc.router = router;
-    mc.seed = 13;
-    noc::MeshNoc mesh(mc);
+    noc::GraphNoc mesh = switchMesh(router, 4, 4, seed);
     return mesh.run(0.015, 300, 1500);
 }
 
 void
-expectMesh(const noc::MeshResult &r, double offered, double accepted,
+expectMesh(const noc::GraphResult &r, double offered, double accepted,
            double latency, double hops, std::uint64_t delivered)
 {
     EXPECT_EQ(r.offeredPktsPerCycle, offered);
     EXPECT_EQ(r.acceptedPktsPerCycle, accepted);
     EXPECT_EQ(r.avgLatencyCycles, latency);
-    EXPECT_EQ(r.avgHops, hops);
+    EXPECT_EQ(r.avgRouterHops, hops);
     EXPECT_EQ(r.delivered, delivered);
 }
 
@@ -310,6 +320,40 @@ TEST(MeshNocGolden, FlatRoutersAreBitIdentical)
     SwitchSpec flat = harness::spec2d(52); // 48 local + 4 mesh ports
     expectMesh(runMesh(flat), 11.422666666666666, 2.258,
                584.26896958960845, 3.2722173014467066, 3387);
+}
+
+TEST(MeshNocGolden, NonSquareHiRiseOverloadIsBitIdentical)
+{
+    // 3x2: corner and edge routers with unused mesh ports, every
+    // downstream FIFO out of credit, and the adaptive layer choice
+    // deciding among partly full parallel links.
+    noc::GraphNoc mesh =
+        switchMesh(harness::specHiRise(4, ArbScheme::Clrg), 3, 2, 17);
+    expectMesh(mesh.run(0.5, 200, 800), 144.61625000000001,
+               5.0599999999999996, 551.89204545454561,
+               2.2272727272727337, 4048);
+}
+
+TEST(MeshNocGolden, SecondRunAccumulatesBitIdentically)
+{
+    // Offered load, latency and hop statistics are cumulative over
+    // run() calls on one object; the second run starts from the
+    // first one's backlog.
+    noc::GraphNoc mesh =
+        switchMesh(harness::specHiRise(4, ArbScheme::Clrg), 3, 3, 21);
+    expectMesh(mesh.run(0.05, 300, 600), 21.594999999999999,
+               7.3449999999999998, 188.93964147946431,
+               2.6047197640118043, 4407);
+    expectMesh(mesh.run(0.05, 0, 600), 43.106666666666669,
+               7.2883333333333331, 280.44248291571699,
+               2.6109339407744847, 8780);
+}
+
+TEST(MeshNocGolden, FlatRoutersAtAnotherSeedAreBitIdentical)
+{
+    expectMesh(runMesh(harness::spec2d(52), 29), 11.549333333333333,
+               2.3086666666666669, 605.83800173260113,
+               3.2203291943401768, 3463);
 }
 
 } // namespace

@@ -293,6 +293,17 @@ TEST(SwitchSpec, ValidateAcceptsPaperConfigs)
     f.validate();
 }
 
+TEST(SwitchSpec, CheckNamesTheFirstViolatedRule)
+{
+    SwitchSpec s; // HiRise r64 L4 c4 CLRG
+    EXPECT_EQ(s.check(), "");
+    s.channels = 17; // input-binned: more than 16 inputs per layer
+    EXPECT_EQ(s.check(), "more channels (17) than inputs per layer (16)");
+    s.radix = 1; // reported first
+    EXPECT_EQ(s.check(), "radix must be >= 2 (got 1)");
+    EXPECT_DEATH(s.validate(), "radix must be >= 2 \\(got 1\\)");
+}
+
 // ---------------------------------------------------------------------
 // Counter-based streams (per-(seed, lane) addressing)
 // ---------------------------------------------------------------------

@@ -1,135 +1,155 @@
 /**
  * @file
- * Tests for the kilo-core mesh-of-switches NoC (paper section VI-E):
- * address arithmetic, XY routing, virtual cut-through hand-off, and
+ * Tests for the kilo-core mesh-of-switches NoC (paper section VI-E),
+ * a LowRadixMesh of multi-layer routers stepped by GraphNoc: address
+ * arithmetic, XY routing, virtual cut-through hand-off, and
  * end-to-end behaviour with both Hi-Rise and flat 2D routers.
  */
 
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hh"
+#include "noc/graph_noc.hh"
 
 using namespace hirise;
 using namespace hirise::noc;
 
 namespace {
 
-MeshConfig
-hiriseMesh(std::uint32_t w = 2, std::uint32_t h = 2)
+SwitchSpec
+hiriseRouter(std::uint32_t radix = 64)
 {
-    MeshConfig cfg;
-    cfg.width = w;
-    cfg.height = h;
-    cfg.router.topo = Topology::HiRise;
-    cfg.router.radix = 64;
-    cfg.router.layers = 4;
-    cfg.router.channels = 4;
-    cfg.router.arb = ArbScheme::Clrg;
-    return cfg;
+    SwitchSpec s;
+    s.topo = hirise::Topology::HiRise;
+    s.radix = radix;
+    s.layers = 4;
+    s.channels = 4;
+    s.arb = ArbScheme::Clrg;
+    return s;
 }
 
-MeshConfig
+SwitchSpec
+flatRouter()
+{
+    SwitchSpec s;
+    s.topo = hirise::Topology::Flat2D;
+    s.radix = 52; // 48 local + 4 mesh ports, like Hi-Rise
+    s.arb = ArbScheme::Lrg;
+    return s;
+}
+
+GraphNoc
+hiriseMesh(std::uint32_t w = 2, std::uint32_t h = 2)
+{
+    return GraphNoc(LowRadixMesh::ofRouters(w, h, hiriseRouter()),
+                    hiriseRouter());
+}
+
+GraphNoc
 flatMesh(std::uint32_t w = 2, std::uint32_t h = 2)
 {
-    MeshConfig cfg;
-    cfg.width = w;
-    cfg.height = h;
-    cfg.router.topo = Topology::Flat2D;
-    cfg.router.radix = 52; // 48 local + 4 mesh ports, like Hi-Rise
-    cfg.router.arb = ArbScheme::Lrg;
-    return cfg;
+    return GraphNoc(LowRadixMesh::ofRouters(w, h, flatRouter()),
+                    flatRouter());
 }
 
 } // namespace
 
 TEST(MeshConfig, NodeAccounting)
 {
-    auto cfg = hiriseMesh(4, 4);
-    EXPECT_EQ(cfg.portsPerLayer(), 16u);
-    EXPECT_EQ(cfg.localPerLayer(), 12u);
-    EXPECT_EQ(cfg.localPerRouter(), 48u);
-    EXPECT_EQ(cfg.totalNodes(), 768u); // kilo-core scale
+    auto hr = LowRadixMesh::ofRouters(4, 4, hiriseRouter());
+    EXPECT_EQ(hr->radix(), 64u);
+    EXPECT_EQ(hr->layers(), 4u);
+    EXPECT_EQ(hr->portsPerLayer(), 16u);
+    EXPECT_EQ(hr->concentration(), 48u);
+    EXPECT_EQ(hr->numNodes(), 768u); // kilo-core scale
 
-    auto flat = flatMesh(4, 4);
-    EXPECT_EQ(flat.localPerRouter(), 48u);
-    EXPECT_EQ(flat.totalNodes(), 768u);
+    auto flat = LowRadixMesh::ofRouters(4, 4, flatRouter());
+    EXPECT_EQ(flat->layers(), 1u);
+    EXPECT_EQ(flat->concentration(), 48u);
+    EXPECT_EQ(flat->numNodes(), 768u);
 }
 
 TEST(MeshConfig, ValidationRejectsBadShapes)
 {
-    auto cfg = hiriseMesh();
-    cfg.width = 1;
-    EXPECT_DEATH(cfg.validate(), "2x2");
-    cfg = hiriseMesh();
-    cfg.router.radix = 20; // 5 ports/layer: only 1 local slot, OK...
-    cfg.router.layers = 4;
-    cfg.router.channels = 1;
-    cfg.validate();
-    cfg.router.radix = 16; // 4 ports/layer: no local slots
-    EXPECT_DEATH(cfg.validate(), "ports per layer");
+    EXPECT_DEATH(LowRadixMesh::ofRouters(1, 2, hiriseRouter()), "2x2");
+    SwitchSpec router = hiriseRouter(20); // 5 ports/layer: 1 local slot
+    router.channels = 1;
+    EXPECT_EQ(LowRadixMesh::ofRouters(2, 2, router)->concentration(),
+              4u);
+    router.radix = 16; // 4 ports/layer: no local slots
+    EXPECT_DEATH(LowRadixMesh::ofRouters(2, 2, router),
+                 "ports per layer");
+    EXPECT_DEATH(GraphNoc(LowRadixMesh::ofRouters(2, 2, flatRouter()),
+                          hiriseRouter()),
+                 "does not match");
 }
 
 TEST(MeshNoc, AddressRoundTrip)
 {
-    MeshNoc mesh(hiriseMesh(3, 2));
-    auto cfg = hiriseMesh(3, 2);
-    for (std::uint32_t n = 0; n < cfg.totalNodes(); n += 7) {
-        NodeAddr a = mesh.nodeAddr(n);
-        EXPECT_LT(a.rx, 3u);
-        EXPECT_LT(a.ry, 2u);
-        EXPECT_LT(a.layer, 4u);
-        EXPECT_LT(a.slot, 12u);
-        EXPECT_EQ(mesh.nodeId(a), n);
+    // Node ids run router by router, then layer by layer; each layer's
+    // node ports open its [12 local, N, E, S, W] port block.
+    auto mesh = LowRadixMesh::ofRouters(3, 2, hiriseRouter());
+    for (std::uint32_t n = 0; n < mesh->numNodes(); n += 7) {
+        PortRef at = mesh->attach(n);
+        ASSERT_TRUE(at.valid);
+        std::uint32_t layer = at.port / 16, slot = at.port % 16;
+        EXPECT_LT(at.router, 6u);
+        EXPECT_LT(layer, 4u);
+        EXPECT_LT(slot, 12u);
+        EXPECT_EQ(at.router * 48 + layer * 12 + slot, n);
+        EXPECT_FALSE(mesh->link(at.router, at.port).valid);
     }
 }
 
 TEST(MeshNoc, PortMapping)
 {
-    MeshNoc mesh(hiriseMesh());
+    auto mesh = LowRadixMesh::ofRouters(2, 2, hiriseRouter());
     // Local node ports precede the mesh ports within each layer.
-    NodeAddr a{0, 0, 2, 5};
-    EXPECT_EQ(mesh.localPort(a), 2u * 16 + 5);
-    EXPECT_EQ(mesh.meshPort(East, 3), 3u * 16 + 12 + East);
+    EXPECT_EQ(mesh->attach(2 * 12 + 5).port, 2u * 16 + 5);
+    EXPECT_EQ(mesh->meshPort(LowRadixMesh::East, 3), 3u * 16 + 12 + 1);
 
-    Direction d;
-    std::uint32_t layer;
-    EXPECT_TRUE(mesh.isMeshPort(12, d, layer)); // layer 0, North
-    EXPECT_EQ(d, North);
-    EXPECT_EQ(layer, 0u);
-    EXPECT_FALSE(mesh.isMeshPort(5, d, layer));
+    // Router 2 sits at (0, 1); its layer-0 North port (12) feeds the
+    // layer-0 South port of router 0, and its layer-3 West port is an
+    // unused edge port.
+    PortRef far = mesh->link(2, 12);
+    ASSERT_TRUE(far.valid);
+    EXPECT_EQ(far.router, 0u);
+    EXPECT_EQ(far.port, mesh->meshPort(LowRadixMesh::South, 0));
+    EXPECT_FALSE(mesh->link(2, mesh->meshPort(LowRadixMesh::West, 3))
+                     .valid);
+    EXPECT_FALSE(mesh->link(2, 5).valid); // node port
 }
 
 TEST(MeshNoc, XyRoutingIsDimensionOrdered)
 {
-    Direction d;
-    EXPECT_TRUE(MeshNoc::xyRoute(0, 0, 2, 2, d));
-    EXPECT_EQ(d, East); // X before Y
-    EXPECT_TRUE(MeshNoc::xyRoute(2, 0, 2, 2, d));
-    EXPECT_EQ(d, South);
-    EXPECT_TRUE(MeshNoc::xyRoute(2, 3, 2, 2, d));
-    EXPECT_EQ(d, North);
-    EXPECT_TRUE(MeshNoc::xyRoute(3, 1, 2, 1, d));
-    EXPECT_EQ(d, West);
-    EXPECT_FALSE(MeshNoc::xyRoute(2, 2, 2, 2, d));
+    LowRadixMesh::Direction d;
+    EXPECT_TRUE(LowRadixMesh::xyRoute(0, 0, 2, 2, d));
+    EXPECT_EQ(d, LowRadixMesh::East); // X before Y
+    EXPECT_TRUE(LowRadixMesh::xyRoute(2, 0, 2, 2, d));
+    EXPECT_EQ(d, LowRadixMesh::South);
+    EXPECT_TRUE(LowRadixMesh::xyRoute(2, 3, 2, 2, d));
+    EXPECT_EQ(d, LowRadixMesh::North);
+    EXPECT_TRUE(LowRadixMesh::xyRoute(3, 1, 2, 1, d));
+    EXPECT_EQ(d, LowRadixMesh::West);
+    EXPECT_FALSE(LowRadixMesh::xyRoute(2, 2, 2, 2, d));
 }
 
 TEST(MeshNoc, LowLoadDeliversEverything)
 {
-    MeshNoc mesh(hiriseMesh());
+    GraphNoc mesh = hiriseMesh();
     auto r = mesh.run(0.002, 2000, 6000);
     EXPECT_GT(r.delivered, 100u);
     // Accepted tracks offered well below saturation.
     EXPECT_NEAR(r.acceptedPktsPerCycle, r.offeredPktsPerCycle,
                 0.1 * r.offeredPktsPerCycle);
     // 2x2 mesh: at most 2 hops + ejection.
-    EXPECT_GE(r.avgHops, 1.0);
-    EXPECT_LE(r.avgHops, 3.0);
+    EXPECT_GE(r.avgRouterHops, 1.0);
+    EXPECT_LE(r.avgRouterHops, 3.0);
 }
 
 TEST(MeshNoc, LatencyGrowsWithLoad)
 {
-    MeshNoc lo(hiriseMesh());
-    MeshNoc hi(hiriseMesh());
+    GraphNoc lo = hiriseMesh();
+    GraphNoc hi = hiriseMesh();
     auto rlo = lo.run(0.001, 1000, 5000);
     auto rhi = hi.run(0.02, 1000, 5000);
     EXPECT_GT(rhi.avgLatencyCycles, rlo.avgLatencyCycles);
@@ -137,16 +157,16 @@ TEST(MeshNoc, LatencyGrowsWithLoad)
 
 TEST(MeshNoc, LargerMeshMoreHops)
 {
-    MeshNoc small(hiriseMesh(2, 2));
-    MeshNoc large(hiriseMesh(4, 4));
+    GraphNoc small = hiriseMesh(2, 2);
+    GraphNoc large = hiriseMesh(4, 4);
     auto rs = small.run(0.001, 1000, 5000);
     auto rl = large.run(0.001, 1000, 5000);
-    EXPECT_GT(rl.avgHops, rs.avgHops);
+    EXPECT_GT(rl.avgRouterHops, rs.avgRouterHops);
 }
 
 TEST(MeshNoc, FlatRoutersWorkToo)
 {
-    MeshNoc mesh(flatMesh());
+    GraphNoc mesh = flatMesh();
     auto r = mesh.run(0.002, 2000, 6000);
     EXPECT_GT(r.delivered, 100u);
     EXPECT_NEAR(r.acceptedPktsPerCycle, r.offeredPktsPerCycle,
@@ -158,8 +178,8 @@ TEST(MeshNoc, HiRiseMeshOutperformsFlatMeshPerCycleAtHighLoad)
     // The 3D routers expose one mesh port per layer per direction
     // (4x the inter-router bandwidth at equal concentration), so the
     // Hi-Rise mesh saturates at a higher accepted rate.
-    MeshNoc hr(hiriseMesh());
-    MeshNoc flat(flatMesh());
+    GraphNoc hr = hiriseMesh();
+    GraphNoc flat = flatMesh();
     auto rh = hr.run(0.05, 2000, 8000);
     auto rf = flat.run(0.05, 2000, 8000);
     EXPECT_GT(rh.acceptedPktsPerCycle, rf.acceptedPktsPerCycle);
@@ -169,7 +189,7 @@ TEST(MeshNoc, NoDeadlockUnderSustainedOverload)
 {
     // Drive far past saturation and make sure packets keep flowing
     // (XY + virtual cut-through must stay deadlock-free).
-    MeshNoc mesh(hiriseMesh(3, 3));
+    GraphNoc mesh = hiriseMesh(3, 3);
     auto r1 = mesh.run(0.5, 3000, 3000);
     auto r2 = mesh.run(0.5, 0, 3000);
     EXPECT_GT(r1.acceptedPktsPerCycle, 0.0);
