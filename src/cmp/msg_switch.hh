@@ -6,12 +6,13 @@
  * flit per data cycle), but fed by tile events and delivering whole
  * messages to a callback.
  *
- * The step loop follows NetworkSim's event core: only eligible ports
- * (idle, with a queued message) are scanned, the fabric sees the
- * ascending list of requesting ports, a request-free cycle is
- * accounted with advanceIdle() instead of an all-idle arbitration,
- * and the backlog is kept as a running count. Nothing allocates once
- * the VC rings have reached their high-water size.
+ * The protocol is fabric::SwitchCore's, as in NetworkSim: only waiting
+ * ports (idle, with a queued message) pick, against the core's
+ * free-output set, and the core drives the fabric. This class adds
+ * the VC queues, the round-robin VC walk that chooses each port's
+ * request, and message delivery; the backlog is a running count.
+ * Nothing allocates once the VC rings have reached their high-water
+ * size.
  */
 
 #ifndef HIRISE_CMP_MSG_SWITCH_HH
@@ -22,9 +23,8 @@
 #include <vector>
 
 #include "cmp/transport.hh"
-#include "common/bitvec.hh"
 #include "common/ring_buffer.hh"
-#include "fabric/fabric.hh"
+#include "fabric/switch_core.hh"
 
 namespace hirise::cmp {
 
@@ -60,19 +60,12 @@ class MsgSwitch : public Transport
     }
 
   private:
-    struct Connection
-    {
-        bool justGranted = false;
-        std::uint32_t vc = 0;
-        std::uint32_t flitsLeft = 0;
-        std::uint32_t output = 0;
-    };
-
     struct Port
     {
-        Connection conn;
-        std::uint32_t rr = 0;     //!< next VC the round-robin tries
-        std::uint32_t queued = 0; //!< messages over all VCs
+        std::uint32_t vc = 0;        //!< VC of the picked/held message
+        std::uint32_t flitsLeft = 0; //!< of the held message
+        std::uint32_t rr = 0;        //!< next VC the round-robin tries
+        std::uint32_t queued = 0;    //!< messages over all VCs
     };
 
     RingBuffer<Message> &
@@ -81,22 +74,11 @@ class MsgSwitch : public Transport
         return vcs_[std::size_t(port) * numVcs_ + v];
     }
 
-    void arbitrate();
-    void transfer();
-
-    SwitchSpec spec_;
     std::uint32_t numVcs_;
-    std::unique_ptr<fabric::Fabric> fabric_;
+    fabric::SwitchCore core_;
     DeliverFn deliver_;
     std::vector<Port> ports_;
     std::vector<RingBuffer<Message>> vcs_; //!< port-major, numVcs_ each
-
-    BitVec eligible_;  //!< idle ports with a queued message
-    BitVec connected_; //!< ports holding a connection
-    // Per-step scratch: req_ stays all-kNoRequest between steps.
-    std::vector<std::uint32_t> req_;
-    std::vector<std::uint32_t> cand_;
-    std::vector<std::uint32_t> active_; //!< requesting ports, ascending
 
     std::uint64_t backlog_ = 0;
     std::uint64_t delivered_ = 0;

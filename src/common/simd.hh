@@ -114,7 +114,7 @@ halveU32(std::uint32_t *v, std::size_t n)
 }
 
 /** acc[i] += scale where flags[i] != 0: the per-channel busy-cycle
- *  accumulation of beginArbitrate()/advanceIdle(). */
+ *  accumulation of HiRiseFabric's arbitration and idle accounting. */
 inline void
 accumulateFlagsU64(std::uint64_t *acc, const std::uint8_t *flags,
                    std::size_t n, std::uint64_t scale)

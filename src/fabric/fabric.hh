@@ -31,16 +31,14 @@ struct BrokenConn
 };
 
 /**
- * One switch datapath + its built-in arbitration state.
- *
- * Contract with the simulator:
- *  - arbitrate() is called once per cycle with req[i] = desired output
- *    of input i, or kNoRequest when input i is idle or mid-transfer.
- *    Requests from inputs holding a connection are invalid.
+ * One switch datapath + its built-in arbitration state, driven by
+ * fabric::SwitchCore (switch_core.hh):
+ *  - arbitrate() takes req[i] = desired output of input i, or
+ *    kNoRequest when input i is idle or mid-transfer. Requests from
+ *    inputs holding a connection are invalid.
  *  - a granted input owns the path to its output until release().
- *  - requests to outputs that are busy simply lose (no queueing inside
- *    the fabric; the input re-arbitrates next cycle, matching the
- *    retry behaviour of the real switch).
+ *  - requests to busy outputs simply lose (no queueing inside the
+ *    fabric; the input re-arbitrates next cycle, like the real switch).
  */
 class Fabric
 {
@@ -68,9 +66,8 @@ class Fabric
      * As arbitrate(), but with the requesting inputs enumerated in
      * @p active (ascending, exactly the i with req[i] != kNoRequest).
      * Semantically identical to arbitrate(req) — the list only lets
-     * implementations skip the O(radix) scan for idle inputs, which
-     * is what the event-driven simulator's active-set arbitration
-     * feeds. Default: full arbitrate(req).
+     * implementations skip the O(radix) scan for idle inputs.
+     * Default: full arbitrate(req).
      */
     virtual const BitVec &
     arbitrateActive(std::span<const std::uint32_t> req,
@@ -83,14 +80,12 @@ class Fabric
     virtual void release(std::uint32_t input, std::uint32_t output) = 0;
 
     /**
-     * Account @p cycles arbitration cycles in which no input
-     * requested, without running arbitration. An all-kNoRequest
-     * arbitrate() call leaves every arbiter and connection untouched,
-     * so the event-driven simulator skips it entirely for request-free
-     * cycles (including whole fast-forwarded idle spans) and calls
-     * this instead; implementations that keep per-call statistics
-     * (HiRise's channel-utilization denominators) override it so the
-     * stats match dense stepping exactly. Default: no-op.
+     * Account @p cycles request-free arbitration cycles without
+     * running arbitration. An all-kNoRequest arbitrate() leaves every
+     * arbiter and connection untouched, so SwitchCore calls this
+     * instead; fabrics with per-call statistics (HiRise's channel-
+     * utilization denominators) override it so the stats match dense
+     * stepping exactly. Default: no-op.
      */
     virtual void advanceIdle(std::uint64_t /*cycles*/) {}
 

@@ -10,6 +10,7 @@
 
 #include "common/parallel.hh"
 #include "fabric/hirise.hh"
+#include "fabric/switch_core.hh"
 #include "phys/model.hh"
 #include "traffic/pattern.hh"
 
@@ -17,14 +18,16 @@ namespace hirise::harness {
 
 namespace {
 
-/** NetworkSim cannot inject faults into its private fabric, so this
- *  runner drives the fabric directly with a saturated uniform-random
- *  single-packet workload per input (pure fabric capacity study). */
+/** Saturated uniform-random throughput of the fabric alone: a
+ *  fabric-capacity study, so there are no VCs or source queues to
+ *  model, only inputs that each hold one packet and draw the next
+ *  destination when it leaves. (NetworkSim takes fault schedules too,
+ *  but would add its port model to the measurement.) */
 double
 faultedSaturation(std::uint32_t num_failed, std::uint64_t seed)
 {
     SwitchSpec spec = specHiRise(4, ArbScheme::Clrg);
-    fabric::HiRiseFabric fab(spec);
+    auto fab = std::make_unique<fabric::HiRiseFabric>(spec);
 
     // Fail distinct channels in a fixed pseudo-random order.
     Rng pick(1234);
@@ -33,11 +36,12 @@ faultedSaturation(std::uint32_t num_failed, std::uint64_t seed)
         std::uint32_t s = static_cast<std::uint32_t>(pick.below(4));
         std::uint32_t d = static_cast<std::uint32_t>(pick.below(4));
         std::uint32_t k = static_cast<std::uint32_t>(pick.below(4));
-        if (s == d || fab.channelFailed(s, d, k))
+        if (s == d || fab->channelFailed(s, d, k))
             continue;
-        fab.failChannel(s, d, k);
+        fab->failChannel(s, d, k);
         ++failed;
     }
+    fabric::SwitchCore core(std::move(fab));
 
     // Saturated closed-loop drive: every idle input immediately
     // requests a fresh uniform-random destination.
@@ -46,35 +50,30 @@ faultedSaturation(std::uint32_t num_failed, std::uint64_t seed)
     const std::uint32_t len = 4;
     std::vector<std::uint32_t> want(n);
     std::vector<std::uint32_t> left(n, 0);
-    std::vector<std::uint32_t> out(n, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
         std::uint32_t d = static_cast<std::uint32_t>(rng.below(n - 1));
         want[i] = d >= i ? d + 1 : d;
+        core.wake(i);
     }
 
     std::uint64_t flits = 0;
     const std::uint64_t cycles = 30000;
     for (std::uint64_t t = 0; t < cycles; ++t) {
-        std::vector<std::uint32_t> req(n, fabric::kNoRequest);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (left[i] == 0 && !fab.outputBusy(want[i]))
-                req[i] = want[i];
-        }
-        const auto &grant = fab.arbitrate(req);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (grant[i]) {
-                left[i] = len;
-                out[i] = req[i];
-            } else if (left[i] > 0) {
-                ++flits;
-                if (--left[i] == 0) {
-                    fab.release(i, out[i]);
-                    std::uint32_t d = static_cast<std::uint32_t>(
-                        rng.below(n - 1));
-                    want[i] = d >= i ? d + 1 : d;
-                }
+        core.arbitrate(
+            [&](std::uint32_t i) {
+                return core.outputFree(want[i]) ? want[i]
+                                                : fabric::kNoRequest;
+            },
+            [&](std::uint32_t i, std::uint32_t) { left[i] = len; });
+        core.transfer([&](std::uint32_t i) {
+            ++flits;
+            if (--left[i] == 0) {
+                core.release(i, true);
+                std::uint32_t d =
+                    static_cast<std::uint32_t>(rng.below(n - 1));
+                want[i] = d >= i ? d + 1 : d;
             }
-        }
+        });
     }
     return static_cast<double>(flits) / static_cast<double>(cycles);
 }

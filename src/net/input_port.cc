@@ -84,7 +84,6 @@ InputPort::breakConnection(std::uint32_t &flits_dropped,
     vcs_[connVc_].clear();
     connVc_ = kNoVc;
     connFlitsLeft_ = 0;
-    justConnected_ = false;
 }
 
 void
@@ -102,7 +101,9 @@ InputPort::save(snap::Writer &w) const
     w.u32(connOutput_);
     w.u32(connFlitsLeft_);
     w.u64(connGenCycle_);
-    w.b(justConnected_);
+    // Former grant-cycle flag, false at every cycle boundary (the
+    // grant cycle is fabric::SwitchCore's); kept for the format.
+    w.b(false);
 }
 
 void
@@ -125,7 +126,7 @@ InputPort::load(snap::Reader &r)
     connOutput_ = r.u32();
     connFlitsLeft_ = r.u32();
     connGenCycle_ = r.u64();
-    justConnected_ = r.b();
+    r.b(); // former grant-cycle flag, see save()
 }
 
 std::uint64_t

@@ -176,20 +176,6 @@ class InputPort
         connOutput_ = output;
         connFlitsLeft_ = len_flits;
         connGenCycle_ = gen_cycle;
-        justConnected_ = true;
-    }
-
-    /**
-     * The arbitration cycle occupies the input and output buses
-     * (priority-line reuse), so data moves starting the next cycle.
-     * Returns true exactly once per connection: on the grant cycle.
-     */
-    bool
-    consumeJustConnected()
-    {
-        bool j = justConnected_;
-        justConnected_ = false;
-        return j;
     }
 
     /** One flit transferred; returns true when the packet completed. */
@@ -279,7 +265,6 @@ class InputPort
     std::uint32_t connOutput_ = 0;
     std::uint32_t connFlitsLeft_ = 0;
     Cycle connGenCycle_ = 0;
-    bool justConnected_ = false;
 };
 
 } // namespace hirise::net

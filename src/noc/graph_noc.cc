@@ -27,7 +27,8 @@ GraphNoc::GraphNoc(std::shared_ptr<Topology> topo,
 
 GraphNoc::GraphNoc(std::shared_ptr<Topology> topo,
                    const SwitchSpec &router, std::uint32_t packet_len,
-                   std::uint32_t fifo_pkts, std::uint64_t seed)
+                   std::uint32_t fifo_pkts, std::uint64_t seed,
+                   const FabricFactory &make_fabric)
     : topo_(std::move(topo)), radix_(topo_->radix()),
       nodes_(topo_->numNodes()), layers_(topo_->layers()),
       portsPerLayer_(topo_->portsPerLayer()), packetLen_(packet_len),
@@ -39,15 +40,14 @@ GraphNoc::GraphNoc(std::shared_ptr<Topology> topo,
     if (fifo_pkts < 1)
         fatal("input FIFOs need at least one packet slot");
     const std::uint32_t routers = topo_->numRouters();
-    routers_.resize(routers);
-    for (auto &r : routers_) {
-        r.fabric = fabric::makeFabric(router);
-        r.fifo.resize(radix_);
-        r.reserved.assign(radix_, 0);
-        r.conn.resize(radix_);
-        r.waiting.resize(radix_);
-        r.connected.resize(radix_);
-    }
+    cores_.reserve(routers);
+    for (std::uint32_t ri = 0; ri < routers; ++ri)
+        cores_.emplace_back(make_fabric(router));
+    sim_assert(cores_.back().radix() == radix_,
+               "router fabric radix does not match the topology");
+    fifo_.resize(std::size_t(routers) * radix_);
+    reserved_.assign(std::size_t(routers) * radix_, 0);
+    conn_.resize(std::size_t(routers) * radix_);
     source_.resize(nodes_);
     queued_.resize(nodes_);
 
@@ -83,9 +83,6 @@ GraphNoc::GraphNoc(std::shared_ptr<Topology> topo,
             route_[std::size_t(ri) * nodes_ + n] = port;
         }
     }
-
-    req_.assign(radix_, fabric::kNoRequest);
-    active_.reserve(radix_);
 }
 
 void
@@ -114,13 +111,12 @@ GraphNoc::pickPort(std::uint32_t router, std::uint32_t dst_node) const
     // Adaptive Z: skip links without a downstream credit (virtual
     // cut-through blocks there), then take the least occupied, the
     // destination node's layer on equal occupancy, then the lowest.
-    std::uint32_t best = kNone;
+    std::uint32_t best = fabric::kNoRequest;
     std::uint64_t best_score = ~0ull;
     for (std::uint32_t l = 0; l < layers_; ++l, port += portsPerLayer_) {
         const PortRef &far = link_[portIdx(router, port)];
-        const Router &nr = routers_[far.router];
-        std::uint64_t occupancy =
-            nr.fifo[far.port].size() + nr.reserved[far.port];
+        const std::size_t p = portIdx(far.router, far.port);
+        std::uint64_t occupancy = fifo_[p].size() + reserved_[p];
         if (occupancy >= fifoPkts_)
             continue;
         std::uint64_t score = occupancy * 2 + (l != nodeLayer_[dst_node]);
@@ -138,10 +134,9 @@ GraphNoc::step()
     // 1. Node injection into the attach port's FIFO.
     queued_.forEachSet([&](std::uint32_t n) {
         const PortRef &at = attach_[n];
-        Router &r = routers_[at.router];
-        if (r.fifo[at.port].size() + r.reserved[at.port] <
-            fifoPkts_) {
-            enqueue(r, at.port, source_[n].front());
+        const std::size_t p = portIdx(at.router, at.port);
+        if (fifo_[p].size() + reserved_[p] < fifoPkts_) {
+            enqueue(at.router, at.port, source_[n].front());
             source_[n].pop_front();
             if (source_[n].empty())
                 queued_.reset(n);
@@ -150,67 +145,47 @@ GraphNoc::step()
 
     // 2. Per-router arbitration. Routers go in index order: a grant
     //    reserves a downstream slot that later routers' credit checks
-    //    see. A fabric arbitrates only on cycles with a request, the
-    //    event-driven convention of fabric::Fabric::advanceIdle.
-    for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
-        Router &r = routers_[ri];
-        r.waiting.forEachSet([&](std::uint32_t in) {
-            std::uint32_t out = pickPort(ri, r.fifo[in].front().dstNode);
-            if (out == kNone || r.fabric->outputBusy(out))
-                return;
-            req_[in] = out;
-            active_.push_back(in);
-        });
-        if (active_.empty()) {
-            r.fabric->advanceIdle(1);
-            continue;
-        }
-        const BitVec &grant = r.fabric->arbitrateActive(req_, active_);
-        for (std::uint32_t in : active_) {
-            const std::uint32_t out = req_[in];
-            req_[in] = fabric::kNoRequest;
-            if (!grant[in])
-                continue;
-            auto &c = r.conn[in];
-            c.justGranted = true;
-            c.pkt = r.fifo[in].front();
-            r.fifo[in].pop_front();
-            r.waiting.reset(in);
-            r.connected.set(in);
-            c.flitsLeft = c.pkt.lenFlits;
-            c.output = out;
-            const PortRef &far = link_[portIdx(ri, out)];
-            if (far.valid)
-                ++routers_[far.router].reserved[far.port];
-        }
-        active_.clear();
+    //    see.
+    for (std::uint32_t ri = 0; ri < cores_.size(); ++ri) {
+        fabric::SwitchCore &core = cores_[ri];
+        core.arbitrate(
+            [&](std::uint32_t in) {
+                std::uint32_t out =
+                    pickPort(ri, fifo_[portIdx(ri, in)].front().dstNode);
+                if (out != fabric::kNoRequest && !core.outputFree(out))
+                    out = fabric::kNoRequest;
+                return out;
+            },
+            [&](std::uint32_t in, std::uint32_t out) {
+                RingBuffer<QPkt> &q = fifo_[portIdx(ri, in)];
+                Conn &c = conn_[portIdx(ri, in)];
+                c.pkt = q.front();
+                q.pop_front();
+                c.flitsLeft = c.pkt.lenFlits;
+                const PortRef &far = link_[portIdx(ri, out)];
+                if (far.valid)
+                    ++reserved_[portIdx(far.router, far.port)];
+            });
     }
 
     // 3. Flit transfer and hand-off, in (router, input) order.
-    for (std::uint32_t ri = 0; ri < routers_.size(); ++ri) {
-        Router &r = routers_[ri];
-        r.connected.forEachSet([&](std::uint32_t in) {
-            auto &c = r.conn[in];
-            if (c.justGranted) {
-                c.justGranted = false;
-                return;
-            }
+    for (std::uint32_t ri = 0; ri < cores_.size(); ++ri) {
+        fabric::SwitchCore &core = cores_[ri];
+        core.transfer([&](std::uint32_t in) {
+            Conn &c = conn_[portIdx(ri, in)];
             if (--c.flitsLeft > 0)
                 return;
-            r.fabric->release(in, c.output);
-            r.connected.reset(in);
-            if (!r.fifo[in].empty())
-                r.waiting.set(in);
-            const PortRef &far = link_[portIdx(ri, c.output)];
+            const std::uint32_t out = core.heldOutput(in);
+            core.release(in, !fifo_[portIdx(ri, in)].empty());
+            const PortRef &far = link_[portIdx(ri, out)];
             if (far.valid) {
-                Router &nr = routers_[far.router];
-                sim_assert(nr.reserved[far.port] > 0,
-                           "hand-off without reservation");
-                --nr.reserved[far.port];
+                std::uint32_t &res = reserved_[portIdx(far.router, far.port)];
+                sim_assert(res > 0, "hand-off without reservation");
+                --res;
                 QPkt pkt = c.pkt;
                 ++pkt.hops;
-                pkt.linkMm += wireMm_[portIdx(ri, c.output)];
-                enqueue(nr, far.port, pkt);
+                pkt.linkMm += wireMm_[portIdx(ri, out)];
+                enqueue(far.router, far.port, pkt);
             } else {
                 ++delivered_;
                 if (measuring_) {

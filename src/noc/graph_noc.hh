@@ -5,12 +5,12 @@
  * the paper's discussion section, and the kilo-core mesh of Hi-Rise
  * switches of section VI-E) steps here. Each router is an
  * input-queued fabric::Fabric — flat LRG crossbars by default, or the
- * switch a SwitchSpec names — with the same connection-held timing as
- * the rest of this repository: one arbitration cycle, then one flit
- * per cycle, with virtual cut-through hand-off between routers. A
- * grant is only requested when the downstream input FIFO has a free
- * packet slot, which with dimension-ordered routing keeps the network
- * deadlock-free.
+ * switch a SwitchSpec names — stepped by its own fabric::SwitchCore,
+ * so the connection-held timing is the rest of this repository's: one
+ * arbitration cycle, then one flit per cycle, with virtual cut-through
+ * hand-off between routers. A grant is only requested when the
+ * downstream input FIFO has a free packet slot, which with
+ * dimension-ordered routing keeps the network deadlock-free.
  *
  * Where a hop has parallel links (one per layer of a 3D router), the
  * packet takes adaptive Z routing: among the links with a downstream
@@ -19,9 +19,10 @@
  *
  * The topology's routing, links, node attachment and wire lengths are
  * tabulated at construction, so stepping makes no virtual Topology
- * call. Per-router bitsets of waiting and connected inputs, and one of
- * nodes with a queued packet, let a step skip idle ports and nodes;
- * FIFOs are ring buffers, so a step does not allocate.
+ * call. Each router's core tracks its waiting and connected inputs
+ * and free outputs, and a bitset of nodes with a queued packet lets a
+ * step skip idle nodes; FIFOs are ring buffers, so a step does not
+ * allocate.
  */
 
 #ifndef HIRISE_NOC_GRAPH_NOC_HH
@@ -36,7 +37,7 @@
 #include "common/ring_buffer.hh"
 #include "common/spec.hh"
 #include "common/stats.hh"
-#include "fabric/fabric.hh"
+#include "fabric/switch_core.hh"
 #include "net/packet.hh"
 #include "noc/topology.hh"
 
@@ -55,10 +56,17 @@ struct GraphResult
 class GraphNoc
 {
   public:
-    /** Routers are @p router switches of the topology's radix. */
+    /** Builds one router's fabric from the router spec. */
+    using FabricFactory =
+        std::function<std::unique_ptr<fabric::Fabric>(const SwitchSpec &)>;
+
+    /** Routers are @p router switches of the topology's radix.
+     *  @p make_fabric is a test seam (e.g. lockstep oracle fabrics);
+     *  by default each router gets fabric::makeFabric(router). */
     GraphNoc(std::shared_ptr<Topology> topo, const SwitchSpec &router,
              std::uint32_t packet_len = 4, std::uint32_t fifo_pkts = 4,
-             std::uint64_t seed = 1);
+             std::uint64_t seed = 1,
+             const FabricFactory &make_fabric = fabric::makeFabric);
 
     /** Routers are flat LRG crossbars of the topology's radix. */
     GraphNoc(std::shared_ptr<Topology> topo,
@@ -101,36 +109,21 @@ class GraphNoc
 
     struct Conn
     {
-        bool justGranted = false;
         std::uint32_t flitsLeft = 0;
-        std::uint32_t output = 0;
         QPkt pkt{};
     };
 
-    struct Router
+    /** Append @p pkt to input @p port of @p router. */
+    void
+    enqueue(std::uint32_t router, std::uint32_t port, const QPkt &pkt)
     {
-        std::unique_ptr<fabric::Fabric> fabric;
-        std::vector<RingBuffer<QPkt>> fifo; //!< per input port
-        std::vector<std::uint32_t> reserved;
-        std::vector<Conn> conn;
-        BitVec waiting;   //!< inputs with a queued packet, no connection
-        BitVec connected; //!< inputs holding a connection
-    };
-
-    /** Append @p pkt to input @p port of @p r. */
-    static void
-    enqueue(Router &r, std::uint32_t port, const QPkt &pkt)
-    {
-        r.fifo[port].push_back(pkt);
-        if (!r.connected[port])
-            r.waiting.set(port);
+        fifo_[portIdx(router, port)].push_back(pkt);
+        cores_[router].wake(port);
     }
-
-    static constexpr std::uint32_t kNone = ~0u;
 
     /** Output port at @p router for a packet to @p dst_node: the
      *  node's ejection port at its own router, else the adaptive-Z
-     *  choice among the hop's parallel links, or kNone when no link
+     *  choice among the hop's parallel links, or kNoRequest when no link
      *  has a downstream credit. */
     std::uint32_t pickPort(std::uint32_t router,
                            std::uint32_t dst_node) const;
@@ -146,7 +139,10 @@ class GraphNoc
     std::uint32_t layers_, portsPerLayer_;
     std::uint32_t packetLen_;
     std::uint32_t fifoPkts_;
-    std::vector<Router> routers_;
+    std::vector<fabric::SwitchCore> cores_; //!< per router
+    std::vector<RingBuffer<QPkt>> fifo_;    //!< [portIdx], input FIFO
+    std::vector<std::uint32_t> reserved_;   //!< [portIdx], slots promised
+    std::vector<Conn> conn_;                //!< [portIdx], held packet
     std::vector<RingBuffer<QPkt>> source_; //!< per node
     BitVec queued_; //!< nodes with a non-empty source queue
 
@@ -157,9 +153,6 @@ class GraphNoc
     std::vector<PortRef> attach_;      //!< [node]
     std::vector<std::uint32_t> nodeLayer_; //!< [node]
 
-    // Arbitration scratch, reused by every router in turn.
-    std::vector<std::uint32_t> req_;    //!< per input; kNoRequest idle
-    std::vector<std::uint32_t> active_; //!< requesting inputs, ascending
     std::function<void(std::uint64_t)> deliverFn_;
     Rng rng_;
 

@@ -109,21 +109,16 @@ NetworkSim::NetworkSim(const SwitchSpec &spec, const SimConfig &cfg,
                        std::shared_ptr<traffic::TrafficPattern> pattern,
                        std::unique_ptr<fabric::Fabric> fabric)
     : spec_(spec), cfg_(cfg), pattern_(std::move(pattern)),
-      fabric_(std::move(fabric)), event_(!cfg.denseStepping),
+      core_(std::move(fabric)), event_(!cfg.denseStepping),
       memoryless_(pattern_->memoryless()),
       injHeapOn_(!cfg.denseStepping && pattern_->memoryless() &&
                  cfg.injectionRate <= kInjHeapMaxRate),
-      reqScratch_(spec.radix, fabric::kNoRequest),
       candVcScratch_(spec.radix, net::InputPort::kNoVc),
-      dstFreeScratch_(spec.radix), connectedPorts_(spec.radix),
-      eligibleInputs_(spec.radix), fillPending_(spec.radix),
+      fillPending_(spec.radix),
       perInputLatency_(spec.radix), perInputPackets_(spec.radix, 0)
 {
-    sim_assert(fabric_ != nullptr, "NetworkSim needs a fabric");
     ports_.assign(spec.radix,
                   net::InputPort(cfg.numVcs, cfg.vcDepth));
-    dstFreeScratch_.fill(); // no output is held at reset
-    activeReq_.reserve(spec.radix);
     satOn_ = memoryless_ &&
              VirtualSourceQueues::saturates(cfg_.injectionRate) &&
              !cfg_.legacySatQueues;
@@ -153,7 +148,7 @@ NetworkSim::setFaultSchedule(const FaultSchedule &sched)
                "fault schedule must be attached before stepping");
     if (sched.empty())
         return; // inert: zero hot-path cost
-    sim_assert(fabric_->supportsChannelFaults(),
+    sim_assert(core_.fabric().supportsChannelFaults(),
                "fabric '%s' cannot take channel faults",
                toString(spec_.topo));
     faultMgr_ = FaultManager(sched, spec_, cfg_.seed);
@@ -267,7 +262,7 @@ NetworkSim::fillPhase()
         net::InputPort &port = ports_[i];
         port.fillCycle();
         if (!port.connected() && port.anyVcOccupied())
-            eligibleInputs_.set(i);
+            core_.wake(i);
         if (port.sourceQueue().empty())
             fillPending_.reset(i);
     });
@@ -288,118 +283,46 @@ NetworkSim::fillVirtualPhase()
         if (port.fillFrom(satQ_.head(i)))
             satQ_.advance(i, *pattern_);
         if (!port.connected() && port.anyVcOccupied())
-            eligibleInputs_.set(i);
+            core_.wake(i);
     });
-}
-
-void
-NetworkSim::applyGrant(std::uint32_t i)
-{
-    auto &req = reqScratch_;
-    auto &cand_vc = candVcScratch_;
-    sim_assert(req[i] != fabric::kNoRequest,
-               "grant to non-requesting input %u", i);
-    if (measuring_) {
-        const net::Flit &head = ports_[i].vcs()[cand_vc[i]].front();
-        queueing_.add(static_cast<double>(cycle_ - head.genCycle));
-    }
-    if (obs::on()) [[unlikely]]
-        recordGrant(i, req[i], cand_vc[i],
-                    ports_[i].vcs()[cand_vc[i]].front().packet);
-    ports_[i].connect(cand_vc[i], req[i], cfg_.packetLen,
-                      ports_[i].vcs()[cand_vc[i]].front().genCycle);
-    connectedPorts_.set(i);
-    eligibleInputs_.reset(i);
-    dstFreeScratch_.reset(req[i]);
 }
 
 void
 NetworkSim::arbitrateCycle()
 {
-    // Dense reference: rebuild output availability from the fabric
-    // and offer every non-connected input a candidate pick.
-    auto &req = reqScratch_;
-    auto &cand_vc = candVcScratch_;
-    dstFreeScratch_.clear();
-    for (std::uint32_t o = 0; o < spec_.radix; ++o) {
-        if (!fabric_->outputBusy(o))
-            dstFreeScratch_.set(o);
-    }
-    for (std::uint32_t i = 0; i < spec_.radix; ++i) {
-        req[i] = fabric::kNoRequest;
-        cand_vc[i] = net::InputPort::kNoVc;
-        if (ports_[i].connected())
-            continue; // the input bus is transferring data
-        std::uint32_t v = ports_[i].pickCandidateVc(&dstFreeScratch_);
+    // A non-connected port with an occupied VC always has a ready
+    // head, and pickCandidateVc leaves its round-robin pointer
+    // untouched when no VC is head-ready, so the event core's walk of
+    // the waiting inputs and the dense scan make the same picks.
+    auto pick = [this](std::uint32_t i) {
+        const std::uint32_t v =
+            ports_[i].pickCandidateVc(&core_.freeOutputs());
         if (v == net::InputPort::kNoVc)
-            continue;
-        cand_vc[i] = v;
-        req[i] = ports_[i].vcDest(v);
-    }
-
-    const BitVec &grant = fabric_->arbitrate(req);
-#ifdef HIRISE_CHECK_ENABLED
-    check::verifyGrantMatching(
-        std::span<const std::uint32_t>(req), grant, spec_.radix,
-        [this](std::uint32_t o) { return fabric_->outputHolder(o); });
-#endif
-    grant.forEachSet([&](std::uint32_t i) { applyGrant(i); });
-}
-
-void
-NetworkSim::arbitrateCycleActive()
-{
-    // Event mode: only eligible inputs (non-connected with an occupied
-    // VC) can request, and a non-connected occupied VC always has a
-    // ready head, so skipping the rest is pick-state-neutral:
-    // pickCandidateVc leaves its round-robin pointer untouched when no
-    // VC is head-ready. dstFreeScratch_ is maintained incrementally
-    // (grant clears, release sets) instead of rebuilt per cycle.
-    auto &req = reqScratch_;
-    auto &cand_vc = candVcScratch_;
-    activeReq_.clear();
-    eligibleInputs_.forEachSet([&](std::uint32_t i) {
-        std::uint32_t v = ports_[i].pickCandidateVc(&dstFreeScratch_);
-        if (v == net::InputPort::kNoVc)
-            return;
-        cand_vc[i] = v;
-        req[i] = ports_[i].vcDest(v);
-        activeReq_.push_back(i);
-    });
-    if (activeReq_.empty()) {
-        // An all-kNoRequest arbitrate() is state-neutral in every
-        // fabric; skip it and account the idle call for stats parity.
-        fabric_->advanceIdle(1);
-        return;
-    }
-
-    // eligibleInputs_.forEachSet walks ascending, so activeReq_ is the
-    // ascending enumeration the sparse fabric path requires.
-    const BitVec &grant = fabric_->arbitrateActive(req, activeReq_);
-#ifdef HIRISE_CHECK_ENABLED
-    check::verifyGrantMatching(
-        std::span<const std::uint32_t>(req), grant, spec_.radix,
-        [this](std::uint32_t o) { return fabric_->outputHolder(o); });
-#endif
-    grant.forEachSet([&](std::uint32_t i) { applyGrant(i); });
-    // Sparse reset keeps req/cand_vc all-idle between cycles without
-    // an O(radix) wipe.
-    for (std::uint32_t i : activeReq_) {
-        req[i] = fabric::kNoRequest;
-        cand_vc[i] = net::InputPort::kNoVc;
-    }
+            return fabric::kNoRequest;
+        candVcScratch_[i] = v;
+        return ports_[i].vcDest(v);
+    };
+    auto grant = [this](std::uint32_t i, std::uint32_t out) {
+        const std::uint32_t v = candVcScratch_[i];
+        const net::Flit &head = ports_[i].vcs()[v].front();
+        if (measuring_)
+            queueing_.add(static_cast<double>(cycle_ - head.genCycle));
+        if (obs::on()) [[unlikely]]
+            recordGrant(i, out, v, head.packet);
+        ports_[i].connect(v, out, cfg_.packetLen, head.genCycle);
+    };
+    if (event_)
+        core_.arbitrate(pick, grant);
+    else
+        core_.arbitrateDense(pick, grant);
 }
 
 void
 NetworkSim::transferCycle()
 {
-    // Resetting the current bit inside forEachSet is safe: iteration
-    // walks a copy of each word.
-    connectedPorts_.forEachSet([&](std::uint32_t i) {
+    core_.transfer([&](std::uint32_t i) {
         net::InputPort &port = ports_[i];
         sim_assert(port.connected(), "stale connected bit %u", i);
-        if (port.consumeJustConnected())
-            return; // grant cycle: the buses carried the arbitration
         net::VirtualChannel &vc = port.vcs()[port.connVc()];
         if (vc.empty())
             return; // bubble: flit not yet streamed in from source
@@ -412,17 +335,13 @@ NetworkSim::transferCycle()
         if (faultsOn_) {
             // Flaky-link error draw, attributed to the L2LC this
             // flit crossed (read before a tail flit releases it).
-            faultMgr_.onFlitTransfer(cycle_,
-                                     fabric_->heldChannelId(out));
+            faultMgr_.onFlitTransfer(
+                cycle_, core_.fabric().heldChannelId(out));
         }
         bool done = port.transferOne();
         if (done) {
             sim_assert(f.tail, "connection ended mid-packet");
-            fabric_->release(i, out);
-            connectedPorts_.reset(i);
-            dstFreeScratch_.set(out);
-            if (port.anyVcOccupied())
-                eligibleInputs_.set(i);
+            core_.release(i, port.anyVcOccupied());
             ++delivered_;
             if (measuring_) {
                 double lat = static_cast<double>(cycle_ - f.genCycle);
@@ -441,7 +360,7 @@ NetworkSim::transferCycle()
         // Isolations tripped by this cycle's error draws apply after
         // the transfer walk (never mid-iteration).
         brokenScratch_.clear();
-        faultMgr_.applyPending(cycle_, *fabric_, brokenScratch_);
+        faultMgr_.applyPending(cycle_, core_.fabric(), brokenScratch_);
         if (!brokenScratch_.empty())
             handleBroken(brokenScratch_);
     }
@@ -454,10 +373,6 @@ NetworkSim::handleBroken(
     for (const auto &bc : broken) {
         const std::uint32_t i = bc.input;
         net::InputPort &port = ports_[i];
-        sim_assert(port.connected() && port.connOutput() == bc.output,
-                   "broken connection %u->%u does not match port "
-                   "state",
-                   bc.input, bc.output);
         ++packetsDropped_;
         if (measuring_ && port.connGenCycle() >= measureStart_)
             ++measPacketsDropped_;
@@ -476,12 +391,7 @@ NetworkSim::handleBroken(
                     fillPending_.reset(i);
             }
         }
-        connectedPorts_.reset(i);
-        dstFreeScratch_.set(bc.output);
-        if (port.anyVcOccupied())
-            eligibleInputs_.set(i);
-        else
-            eligibleInputs_.reset(i);
+        core_.dropBroken(bc, port.anyVcOccupied());
     }
 }
 
@@ -493,8 +403,7 @@ NetworkSim::canFastForward() const
     // event, so whole idle spans can be skipped. Without it (stateful
     // pattern, or high-rate polling) the next injection time is
     // unknown, so every cycle must be stepped.
-    return injHeapOn_ && eligibleInputs_.none() &&
-           connectedPorts_.none() && fillPending_.none();
+    return injHeapOn_ && core_.quiescent() && fillPending_.none();
 }
 
 void
@@ -506,7 +415,7 @@ NetworkSim::stepOnce()
         // Topology changes land at cycle start, before injection, so
         // the whole cycle sees the new channel set.
         brokenScratch_.clear();
-        faultMgr_.beginCycle(cycle_, *fabric_, brokenScratch_);
+        faultMgr_.beginCycle(cycle_, core_.fabric(), brokenScratch_);
         if (!brokenScratch_.empty())
             handleBroken(brokenScratch_);
     }
@@ -524,10 +433,7 @@ NetworkSim::stepOnce()
             injectDenseCycle(); // stateful / high-rate: per-cycle polls
         fillPhase();
     }
-    if (event_)
-        arbitrateCycleActive();
-    else
-        arbitrateCycle();
+    arbitrateCycle();
     transferCycle();
     ++cycle_;
 #ifdef HIRISE_CHECK_ENABLED
@@ -552,7 +458,7 @@ NetworkSim::stepTo(net::Cycle bound)
         if (next > cycle_) {
             // Nothing can happen before `next`; account the skipped
             // request-free arbitration cycles for stats parity.
-            fabric_->advanceIdle(next - cycle_);
+            core_.skipIdleCycles(next - cycle_);
             cycle_ = next;
             if (cycle_ >= bound)
                 return;
@@ -569,36 +475,28 @@ NetworkSim::checkInvariants() const
                                   flitsDelivered_, backlogFlits(),
                                   droppedFlits_);
     auto holder = [this](std::uint32_t o) {
-        return fabric_->outputHolder(o);
+        return core_.fabric().outputHolder(o);
     };
     check::verifyHolderInjective(spec_.radix, holder);
     for (std::uint32_t i = 0; i < spec_.radix; ++i) {
         check::verifyVcState(ports_[i], cfg_.vcDepth);
-        sim_assert(connectedPorts_.test(i) == ports_[i].connected(),
-                   "connectedPorts_ bit %u out of sync", i);
+        sim_assert(core_.connected(i) == ports_[i].connected(),
+                   "connected bit %u out of sync", i);
         sim_assert(fillPending_.test(i) ==
                        !ports_[i].sourceQueue().empty(),
                    "fillPending_ bit %u out of sync", i);
-        sim_assert(eligibleInputs_.test(i) ==
+        sim_assert(core_.waiting(i) ==
                        (!ports_[i].connected() &&
                         ports_[i].anyVcOccupied()),
-                   "eligibleInputs_ bit %u out of sync", i);
+                   "waiting bit %u out of sync", i);
         // A connected port and the fabric's holder table must agree:
         // the connection-held matrix switch has exactly one grantee
         // per output bus.
         if (ports_[i].connected()) {
-            sim_assert(fabric_->outputHolder(ports_[i].connOutput()) ==
-                           i,
+            sim_assert(holder(ports_[i].connOutput()) == i &&
+                           core_.heldOutput(i) == ports_[i].connOutput(),
                        "connected port %u does not hold output %u", i,
                        ports_[i].connOutput());
-        }
-    }
-    if (event_) {
-        // Incrementally maintained output availability must match the
-        // fabric's ground truth (dense mode rebuilds it per cycle).
-        for (std::uint32_t o = 0; o < spec_.radix; ++o) {
-            sim_assert(dstFreeScratch_.test(o) == !fabric_->outputBusy(o),
-                       "dstFreeScratch_ bit %u out of sync", o);
         }
     }
 }
@@ -746,12 +644,12 @@ NetworkSim::save(snap::Writer &w) const
         p.save(w);
     if (satOn_)
         satQ_.save(w);
-    fabric_->save(w);
+    core_.fabric().save(w);
     faultMgr_.save(w);
     pattern_->save(w);
-    // Derived structures (eligible/connected/fill bitsets, output
-    // availability, the injection heap) are rebuilt on load; the
-    // per-cycle request scratch is all-idle between cycles.
+    // Derived structures (the switch core's sets, the fill bitset,
+    // the injection heap) are rebuilt on load; the core's request
+    // scratch is all-idle between cycles.
 }
 
 void
@@ -781,7 +679,7 @@ NetworkSim::load(snap::Reader &r)
         p.load(r);
     if (satOn_)
         satQ_.load(r);
-    fabric_->load(r);
+    core_.fabric().load(r);
     faultMgr_.load(r);
     pattern_->load(r);
     rebuildDerived();
@@ -790,22 +688,14 @@ NetworkSim::load(snap::Reader &r)
 void
 NetworkSim::rebuildDerived()
 {
-    connectedPorts_.clear();
-    eligibleInputs_.clear();
-    fillPending_.clear();
-    dstFreeScratch_.clear();
-    for (std::uint32_t o = 0; o < spec_.radix; ++o) {
-        if (!fabric_->outputBusy(o))
-            dstFreeScratch_.set(o);
-    }
+    core_.resyncFreeOutputs();
     for (std::uint32_t i = 0; i < spec_.radix; ++i) {
         const net::InputPort &p = ports_[i];
-        if (p.connected())
-            connectedPorts_.set(i);
-        else if (p.anyVcOccupied())
-            eligibleInputs_.set(i);
-        if (!p.sourceQueue().empty())
-            fillPending_.set(i);
+        core_.restoreInput(i,
+                           p.connected() ? p.connOutput()
+                                         : fabric::kNoRequest,
+                           p.anyVcOccupied());
+        fillPending_.assign(i, !p.sourceQueue().empty());
     }
     if (injHeapOn_) {
         // Injection events are pure functions of the counter streams;

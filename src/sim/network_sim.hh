@@ -17,6 +17,7 @@
 #include "common/spec.hh"
 #include "common/stats.hh"
 #include "fabric/fabric.hh"
+#include "fabric/switch_core.hh"
 #include "net/input_port.hh"
 #include "net/packet.hh"
 #include "sim/fault.hh"
@@ -144,7 +145,7 @@ class NetworkSim
     void step() { stepTo(cycle_ + 1); }
 
     net::Cycle now() const { return cycle_; }
-    const fabric::Fabric &fabricRef() const { return *fabric_; }
+    const fabric::Fabric &fabricRef() const { return core_.fabric(); }
     net::InputPort &port(std::uint32_t i) { return ports_[i]; }
     const FaultManager &faultManager() const { return faultMgr_; }
 
@@ -202,18 +203,16 @@ class NetworkSim
     void injectPacket(std::uint32_t i, std::uint32_t dst);
     void fillPhase();
     void fillVirtualPhase(); //!< fill straight from virtual queue heads
-    void arbitrateCycle();       //!< dense reference: full input scan
-    void arbitrateCycleActive(); //!< event mode: eligible-set walk
-    void applyGrant(std::uint32_t i);
+    void arbitrateCycle();
     void transferCycle();
 
     /** Tear down connections the fabric broke on channel failure:
      *  drop the in-flight packets, charge the dropped-flit ledger,
-     *  and resync the incremental port/output sets. */
+     *  and book the teardowns in the switch core. */
     void handleBroken(const std::vector<fabric::BrokenConn> &broken);
-    /** Rebuild every derived structure (eligible/connected/fill
-     *  bitsets, output availability, injection heap) from restored
-     *  port + fabric state. */
+    /** Rebuild every derived structure (the switch core's input and
+     *  output sets, the fill bitset, the injection heap) from
+     *  restored port + fabric state. */
     void rebuildDerived();
     net::Cycle warmEnd() const { return cfg_.warmupCycles; }
     net::Cycle runEnd() const
@@ -231,7 +230,9 @@ class NetworkSim
     SwitchSpec spec_;
     SimConfig cfg_;
     std::shared_ptr<traffic::TrafficPattern> pattern_;
-    std::unique_ptr<fabric::Fabric> fabric_;
+    /** Fabric and protocol. The ports keep the connection record
+     *  (snapshot state); load() re-derives the core's sets. */
+    fabric::SwitchCore core_;
     std::vector<net::InputPort> ports_;
     /** Event-driven core enabled (== !cfg_.denseStepping). */
     bool event_;
@@ -260,24 +261,7 @@ class NetworkSim
      *  (ascending order matches the dense injection scan). */
     BitVec satPart_;
 
-    // Per-cycle scratch, preallocated in the constructor and reused
-    // every step() so the steady-state loop never touches the heap.
-    std::vector<std::uint32_t> reqScratch_;    //!< input -> output
-    std::vector<std::uint32_t> candVcScratch_; //!< input -> VC
-    /** Free outputs. Dense mode rebuilds it from fabric state every
-     *  arbitration; event mode maintains it incrementally (clear on
-     *  grant, set on release), which checkInvariants() verifies
-     *  against outputBusy(). */
-    BitVec dstFreeScratch_;
-    /** Inputs currently holding a connection; transferCycle() visits
-     *  only these instead of scanning all radix ports (at moderate
-     *  load most ports are idle most cycles). */
-    BitVec connectedPorts_;
-    /** Inputs that could request this cycle: not connected and with at
-     *  least one occupied (hence head-ready) VC. Updated at fill,
-     *  grant, and release boundaries; the event-mode arbitration walks
-     *  only these bits. */
-    BitVec eligibleInputs_;
+    std::vector<std::uint32_t> candVcScratch_; //!< VC picked, per input
     /** Inputs with a non-empty source queue (covers in-flight fills:
      *  a packet streams out of the queue only after its last flit).
      *  fillPhase() visits only these. */
@@ -287,11 +271,6 @@ class NetworkSim
      *  mode only). Ascending input order at equal cycle keeps packet
      *  ids identical to the dense core's per-cycle input scan. */
     std::vector<InjEvent> injHeap_;
-    /** Inputs that submitted a request this cycle, for sparse reset
-     *  of reqScratch_/candVcScratch_ (event mode keeps both in their
-     *  all-idle state between cycles). */
-    std::vector<std::uint32_t> activeReq_;
-
     /** Cycles scanned per nextInjectionFrom call before conceding a
      *  probe event (bounds single-call latency at very low rates; a
      *  probe re-scans when popped). */

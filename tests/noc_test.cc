@@ -3,11 +3,16 @@
  * Tests for the kilo-core mesh-of-switches NoC (paper section VI-E),
  * a LowRadixMesh of multi-layer routers stepped by GraphNoc: address
  * arithmetic, XY routing, virtual cut-through hand-off, and
- * end-to-end behaviour with both Hi-Rise and flat 2D routers.
+ * end-to-end behaviour with both Hi-Rise and flat 2D routers; and the
+ * lockstep referee that runs every GraphNoc router against the oracle
+ * fabric.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "check/lockstep.hh"
 #include "noc/graph_noc.hh"
 
 using namespace hirise;
@@ -195,4 +200,69 @@ TEST(MeshNoc, NoDeadlockUnderSustainedOverload)
     EXPECT_GT(r1.acceptedPktsPerCycle, 0.0);
     EXPECT_GT(r2.acceptedPktsPerCycle,
               0.5 * r1.acceptedPktsPerCycle);
+}
+
+// ---------------------------------------------------------------------
+// Lockstep referee: every router a check::LockstepFabric
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Run @p topo twice, on plain router fabrics and with every router a
+ *  LockstepFabric, and check the oracle never disagreed and the
+ *  results are bit-identical. */
+void
+expectLockstepAgrees(std::shared_ptr<noc::Topology> topo,
+                     const SwitchSpec &router, GraphResult plain,
+                     double rate, net::Cycle warmup, net::Cycle measure,
+                     std::uint64_t seed)
+{
+    std::vector<check::LockstepFabric *> locks;
+    GraphNoc checked(topo, router, 4, 4, seed,
+                     [&](const SwitchSpec &spec) {
+                         auto f =
+                             std::make_unique<check::LockstepFabric>(spec);
+                         locks.push_back(f.get());
+                         return f;
+                     });
+    GraphResult r = checked.run(rate, warmup, measure);
+
+    ASSERT_EQ(locks.size(), topo->numRouters());
+    for (std::size_t i = 0; i < locks.size(); ++i) {
+        EXPECT_FALSE(locks[i]->mismatched())
+            << "router " << i << ": " << locks[i]->mismatchDetail();
+    }
+    EXPECT_GT(r.delivered, 0u);
+    EXPECT_EQ(r.offeredPktsPerCycle, plain.offeredPktsPerCycle);
+    EXPECT_EQ(r.acceptedPktsPerCycle, plain.acceptedPktsPerCycle);
+    EXPECT_EQ(r.avgLatencyCycles, plain.avgLatencyCycles);
+    EXPECT_EQ(r.avgRouterHops, plain.avgRouterHops);
+    EXPECT_EQ(r.avgLinkMm, plain.avgLinkMm);
+    EXPECT_EQ(r.delivered, plain.delivered);
+}
+
+} // namespace
+
+TEST(GraphNocLockstep, FlattenedButterflyAgreesWithOracle)
+{
+    // The 4-argument constructor's default routers: flat LRG crossbars
+    // of the topology's radix.
+    auto topo = std::make_shared<FlattenedButterfly>(4, 4, 4, 2.0);
+    SwitchSpec flat;
+    flat.topo = hirise::Topology::Flat2D;
+    flat.radix = topo->radix();
+    flat.arb = ArbScheme::Lrg;
+    GraphNoc plain(topo, 4, 4, 5);
+    expectLockstepAgrees(topo, flat, plain.run(0.05, 500, 2000), 0.05,
+                         500, 2000, 5);
+}
+
+TEST(GraphNocLockstep, KiloCoreHiRiseMeshAgreesWithOracle)
+{
+    // The kilo-core study's 4x4 mesh of Hi-Rise CLRG routers.
+    auto topo = LowRadixMesh::ofRouters(4, 4, hiriseRouter());
+    GraphNoc plain(topo, hiriseRouter(), 4, 4, 13);
+    expectLockstepAgrees(topo, hiriseRouter(),
+                         plain.run(0.015, 300, 1500), 0.015, 300, 1500,
+                         13);
 }
