@@ -104,21 +104,34 @@ verifyFlitConservation(std::uint64_t injected_flits,
 }
 
 /**
- * VC buffer consistency for one input port: no FIFO exceeds its depth,
- * an idle (non-busy) VC is empty (packets never interleave within a
- * VC), and a ready head flit really is a packet head.
+ * VC buffer consistency for one input port, on the VC counters: no
+ * more flits sent than buffered and none buffered past the packet's
+ * length, no buffer above its depth, an idle VC with both counters
+ * at zero (packets never interleave within a VC), and a busy VC's
+ * header bound for a real output.
  */
 inline void
-verifyVcState(const net::InputPort &port, std::uint32_t vc_depth)
+verifyVcState(const net::InputPort &port, std::uint32_t vc_depth,
+              std::uint32_t radix)
 {
     for (const auto &vc : port.vcs()) {
+        sim_assert(vc.sent() <= vc.buffered(),
+                   "VC sent %u flits of %u buffered", vc.sent(),
+                   vc.buffered());
         sim_assert(vc.size() <= vc_depth,
-                   "VC holds %zu flits, depth is %u", vc.size(),
+                   "VC holds %u flits, depth is %u", vc.size(),
                    vc_depth);
-        sim_assert(vc.busy() || vc.empty(),
-                   "idle VC still holds %zu flits", vc.size());
-        if (vc.headReady())
-            sim_assert(vc.front().head, "ready VC front is not a head");
+        if (!vc.busy()) {
+            sim_assert(vc.sent() == 0, "idle VC has %u flits sent",
+                       vc.sent());
+            continue;
+        }
+        sim_assert(vc.buffered() <= vc.packet().lenFlits,
+                   "VC buffered %u flits of a %u-flit packet",
+                   vc.buffered(), vc.packet().lenFlits);
+        sim_assert(vc.packet().dst < radix,
+                   "VC packet bound for output %u of %u",
+                   vc.packet().dst, radix);
     }
 }
 

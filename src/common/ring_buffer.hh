@@ -1,6 +1,6 @@
 /**
  * @file
- * Growable circular FIFO used for the simulator's packet and flit
+ * Growable circular FIFO used for the simulators' packet and message
  * queues. std::deque allocates and frees a storage block every ~few
  * dozen push/pop pairs as the occupied window crosses block
  * boundaries, which keeps a nominally steady-state simulation loop on

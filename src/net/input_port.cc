@@ -5,6 +5,36 @@
 namespace hirise::net {
 
 void
+VirtualChannel::save(snap::Writer &w) const
+{
+    w.u64(size());
+    for (std::uint16_t i = sent_; i < buffered_; ++i)
+        pkt_.flit(i).save(w);
+    w.b(busy());
+    w.b(tailQueued());
+}
+
+void
+VirtualChannel::load(snap::Reader &r)
+{
+    const std::uint64_t n = r.u64();
+    sent_ = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Flit f;
+        f.load(r);
+        if (i == 0) {
+            pkt_ = {f.packet, f.src, f.dst, pkt_.lenFlits, {}, f.genCycle};
+            sent_ = f.index;
+        }
+        if (f.tail)
+            pkt_.lenFlits = static_cast<std::uint16_t>(f.index + 1);
+    }
+    buffered_ = static_cast<std::uint16_t>(sent_ + n);
+    r.b(); // busy and tailQueued follow from the counters, once the
+    r.b(); // port resumes the packet still streaming in
+}
+
+void
 InputPort::fillCycle()
 {
     if (sourceQueue_.empty())
@@ -21,27 +51,22 @@ InputPort::fillFrom(const Packet &head)
         VirtualChannel &vc = vcs_[fillVc_];
         if (vc.full())
             return false; // backpressure: wait for the crossbar
-        vc.pushFlit(head.flit(fillIdx_));
-        ++fillIdx_;
-        if (fillIdx_ == head.lenFlits) {
-            fillVc_ = kNoVc;
-            fillIdx_ = 0;
-            return true;
-        }
-        return false;
+        vc.fillOne();
+        ++vcFlits_;
+        if (!vc.tailQueued())
+            return false;
+        fillVc_ = kNoVc;
+        return true;
     }
 
-    // Allocate a free VC (idle, empty) for the next packet.
+    // Allocate an idle VC for the next packet.
     for (std::uint32_t v = 0; v < vcs_.size(); ++v) {
-        if (!vcs_[v].busy() && vcs_[v].empty()) {
-            fillVc_ = v;
-            vcs_[v].pushFlit(head.flit(0));
-            fillIdx_ = 1;
-            if (fillIdx_ == head.lenFlits) {
-                fillVc_ = kNoVc;
-                fillIdx_ = 0;
+        if (!vcs_[v].busy()) {
+            vcs_[v].pushHead(head);
+            ++vcFlits_;
+            if (vcs_[v].tailQueued())
                 return true;
-            }
+            fillVc_ = v;
             return false;
         }
     }
@@ -53,14 +78,16 @@ InputPort::pickCandidateVc(const BitVec *dst_free)
 {
     sim_assert(!connected(), "busy input must not arbitrate");
     const std::uint32_t n = static_cast<std::uint32_t>(vcs_.size());
+    std::uint32_t v = rrNext_;
     for (std::uint32_t k = 0; k < n; ++k) {
-        std::uint32_t v = (rrNext_ + k) % n;
-        if (!vcs_[v].headReady())
-            continue;
-        if (dst_free && !dst_free->test(vcs_[v].front().dst))
-            continue;
-        rrNext_ = (v + 1) % n;
-        return v;
+        const std::uint32_t next = v + 1 == n ? 0 : v + 1;
+        const VirtualChannel &vc = vcs_[v];
+        if (vc.headReady() &&
+            (!dst_free || dst_free->test(vc.packet().dst))) {
+            rrNext_ = next;
+            return v;
+        }
+        v = next;
     }
     return kNoVc;
 }
@@ -70,20 +97,14 @@ InputPort::breakConnection(std::uint32_t &flits_dropped,
                            bool &pop_source)
 {
     sim_assert(connected(), "breaking an idle port");
-    flits_dropped = connFlitsLeft_;
-    pop_source = false;
-    if (fillVc_ == connVc_) {
-        // The dropped packet was still streaming from the source
-        // queue head (a VC holds exactly one packet head-to-tail, so
-        // the streaming packet is the connected one). Cancel the
-        // stream; the caller pops the head we never finished pulling.
+    flits_dropped = flitsLeft();
+    // A packet still streaming into the connected VC is the dropped one.
+    pop_source = fillVc_ == connVc_;
+    if (pop_source)
         fillVc_ = kNoVc;
-        fillIdx_ = 0;
-        pop_source = true;
-    }
+    vcFlits_ -= vcs_[connVc_].size();
     vcs_[connVc_].clear();
     connVc_ = kNoVc;
-    connFlitsLeft_ = 0;
 }
 
 void
@@ -95,11 +116,11 @@ InputPort::save(snap::Writer &w) const
     for (const auto &vc : vcs_)
         vc.save(w);
     w.u32(fillVc_);
-    w.pod(fillIdx_);
+    w.pod(static_cast<std::uint16_t>(fillProgress()));
     w.u32(rrNext_);
     w.u32(connVc_);
     w.u32(connOutput_);
-    w.u32(connFlitsLeft_);
+    w.u32(flitsLeft());
     w.u64(connGenCycle_);
     // Former grant-cycle flag, false at every cycle boundary (the
     // grant cycle is fabric::SwitchCore's); kept for the format.
@@ -117,14 +138,23 @@ InputPort::load(snap::Reader &r)
         p.load(r);
         sourceQueue_.push_back(p);
     }
-    for (auto &vc : vcs_)
+    vcFlits_ = 0;
+    for (auto &vc : vcs_) {
         vc.load(r);
+        vcFlits_ += vc.size();
+    }
     fillVc_ = r.u32();
-    fillIdx_ = r.pod<std::uint16_t>();
+    const auto filled = r.pod<std::uint16_t>();
+    // The streaming packet is the source queue head; a virtual source
+    // queue's owner passes it to resumeFill() instead.
+    if (fillVc_ != kNoVc)
+        vcs_[fillVc_].resumeStream(vcs_[fillVc_].packet(), filled);
+    if (!sourceQueue_.empty())
+        resumeFill(sourceQueue_.front());
     rrNext_ = r.u32();
     connVc_ = r.u32();
     connOutput_ = r.u32();
-    connFlitsLeft_ = r.u32();
+    r.u32(); // flitsLeft(), derived from the connected VC
     connGenCycle_ = r.u64();
     r.b(); // former grant-cycle flag, see save()
 }
@@ -132,16 +162,12 @@ InputPort::load(snap::Reader &r)
 std::uint64_t
 InputPort::backlogFlits() const
 {
-    std::uint64_t n = 0;
-    for (const auto &vc : vcs_)
-        n += vc.size();
+    std::uint64_t n = vcFlits_;
     for (std::size_t i = 0; i < sourceQueue_.size(); ++i)
         n += sourceQueue_[i].lenFlits;
     // The packet currently streaming sits in both the source queue
     // and (partially) a VC; discount the flits counted twice.
-    if (fillVc_ != kNoVc)
-        n -= fillIdx_;
-    return n;
+    return n - fillProgress();
 }
 
 } // namespace hirise::net

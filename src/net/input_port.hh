@@ -18,98 +18,73 @@
 
 namespace hirise::net {
 
-/** One virtual-channel FIFO plus its packet bookkeeping. */
+/**
+ * One virtual channel as counts, not flits. A packet owns the VC from
+ * its head's arrival until its tail leaves, and each flit is a
+ * function of its packet and index (Packet::flit), so the packet
+ * header plus flits buffered and flits sent is the whole VC state.
+ */
 class VirtualChannel
 {
   public:
-    explicit VirtualChannel(std::uint32_t depth)
-        : depth_(depth), fifo_(depth)
-    {}
+    explicit VirtualChannel(std::uint32_t depth) : depth_(depth) {}
 
-    bool empty() const { return fifo_.empty(); }
-    bool full() const { return fifo_.size() >= depth_; }
-    std::size_t size() const { return fifo_.size(); }
+    std::uint32_t size() const { return buffered_ - sent_; }
+    bool empty() const { return buffered_ == sent_; }
+    bool full() const { return size() >= depth_; }
 
-    /** A packet owns this VC from its head entering until its tail
-     *  leaves; no interleaving of packets within a VC. */
-    bool busy() const { return busy_; }
+    bool busy() const { return buffered_ != 0; }
 
-    void
-    pushFlit(const Flit &f)
-    {
-        fifo_.push_back(f);
-        busy_ = true;
-        if (f.tail)
-            tailQueued_ = true;
-    }
-
-    const Flit &front() const { return fifo_.front(); }
-
-    Flit
-    popFlit()
-    {
-        Flit f = fifo_.front();
-        fifo_.pop_front();
-        if (f.tail) {
-            busy_ = false;
-            tailQueued_ = false;
-        }
-        return f;
-    }
-
-    /** Is the head flit the start of a packet, ready to arbitrate? */
-    bool
-    headReady() const
-    {
-        return !fifo_.empty() && fifo_.front().head;
-    }
+    /** Is the packet's head buffered and unsent, ready to arbitrate? */
+    bool headReady() const { return sent_ == 0 && buffered_ != 0; }
 
     /** Has the current packet's tail already been buffered? */
-    bool tailQueued() const { return tailQueued_; }
+    bool tailQueued() const { return busy() && buffered_ == pkt_.lenFlits; }
 
-    /** Discard every buffered flit and the packet's VC ownership.
-     *  Used when a fault forcibly breaks the connection draining this
-     *  VC: the in-flight packet is dropped, so its remaining flits
-     *  must not linger as an ownerless partial packet. */
-    void
-    clear()
+    /** Owning packet's header; still readable after the tail left,
+     *  until the next head arrives. */
+    const Packet &packet() const { return pkt_; }
+    std::uint16_t buffered() const { return buffered_; }
+    std::uint16_t sent() const { return sent_; }
+
+    /** The head of @p p enters the idle VC. */
+    void pushHead(const Packet &p) { pkt_ = p; buffered_ = 1; }
+
+    /** The owning packet's next flit enters. */
+    void fillOne() { ++buffered_; }
+
+    /** The oldest flit leaves; true when it was the tail (VC freed). */
+    bool
+    sendOne()
     {
-        fifo_.clear();
-        busy_ = false;
-        tailQueued_ = false;
+        if (++sent_ != pkt_.lenFlits)
+            return false;
+        buffered_ = sent_ = 0;
+        return true;
     }
 
+    /** Drop the packet: a fault broke the connection draining it. */
+    void clear() { buffered_ = sent_ = 0; }
+
+    /** After load(): @p head streams in, @p filled flits buffered (the
+     *  records lack its length, or all of it once every flit left). */
     void
-    save(snap::Writer &w) const
+    resumeStream(const Packet &head, std::uint16_t filled)
     {
-        w.u64(fifo_.size());
-        for (std::size_t i = 0; i < fifo_.size(); ++i)
-            fifo_[i].save(w);
-        w.b(busy_);
-        w.b(tailQueued_);
+        sent_ = static_cast<std::uint16_t>(filled - size());
+        buffered_ = filled;
+        pkt_ = head;
     }
 
-    void
-    load(snap::Reader &r)
-    {
-        fifo_.clear();
-        std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Flit f;
-            f.load(r);
-            fifo_.push_back(f);
-        }
-        busy_ = r.b();
-        tailQueued_ = r.b();
-    }
+    /** The buffered flits' records, as when VCs stored flits. */
+    void save(snap::Writer &w) const;
+    void load(snap::Reader &r);
 
   private:
+    Packet pkt_;
+    std::uint16_t buffered_ = 0;
+    std::uint16_t sent_ = 0;
     std::uint32_t depth_;
-    /** Sized to depth_ up front; a full() check gates every push, so
-     *  the ring never regrows past its initial capacity. */
-    RingBuffer<Flit> fifo_;
-    bool busy_ = false;
-    bool tailQueued_ = false;
 };
 
 /**
@@ -127,67 +102,73 @@ class InputPort
     {}
 
     RingBuffer<Packet> &sourceQueue() { return sourceQueue_; }
-    const RingBuffer<Packet> &sourceQueue() const
-    {
-        return sourceQueue_;
-    }
+    const RingBuffer<Packet> &sourceQueue() const { return sourceQueue_; }
 
-    std::vector<VirtualChannel> &vcs() { return vcs_; }
     const std::vector<VirtualChannel> &vcs() const { return vcs_; }
 
     /** Move up to one flit from the source queue into the VCs.
      *  Prefers continuing the packet currently streaming in. */
     void fillCycle();
 
-    /**
-     * Core of fillCycle for an externally supplied head packet:
-     * streams at most one flit of @p head into a VC. Returns true
-     * when @p head 's last flit went in (the caller advances its
-     * queue). While a packet is mid-stream (fillProgress() > 0) the
-     * caller must keep passing the same packet. Used by the virtual
-     * source queues, which reconstruct head packets from the counter
-     * streams instead of materializing them.
-     */
+    /** fillCycle for an externally supplied head packet: streams at
+     *  most one flit of @p head into a VC and returns true once its
+     *  last flit went in. Mid-stream (fillProgress() > 0) the caller
+     *  keeps passing the same packet; the virtual source queues
+     *  rebuild their heads from the counter streams. */
     bool fillFrom(const Packet &head);
+
+    /** After load() with a virtual source queue: @p head is the
+     *  packet streaming in, if one is (see resumeStream). */
+    void
+    resumeFill(const Packet &head)
+    {
+        if (fillVc_ != kNoVc)
+            vcs_[fillVc_].resumeStream(head, vcs_[fillVc_].buffered());
+    }
 
     /** Flits of the currently streaming packet already moved into a
      *  VC (0 when no packet is mid-stream). */
     std::uint32_t
     fillProgress() const
     {
-        return fillVc_ == kNoVc ? 0u : fillIdx_;
+        return fillVc_ == kNoVc ? 0u : vcs_[fillVc_].buffered();
     }
 
     // -- connection state ------------------------------------------
     bool connected() const { return connVc_ != kNoVc; }
     std::uint32_t connVc() const { return connVc_; }
     std::uint32_t connOutput() const { return connOutput_; }
-    std::uint32_t flitsLeft() const { return connFlitsLeft_; }
-    /** genCycle of the connected packet (valid while connected);
-     *  lets a forced break attribute the dropped packet to the
-     *  measurement window without digging for its flits. */
+
+    /** Flits of the connected packet not yet sent (0 when idle). */
+    std::uint32_t
+    flitsLeft() const
+    {
+        const VirtualChannel *vc = connected() ? &vcs_[connVc_] : nullptr;
+        return vc ? vc->packet().lenFlits - vc->sent() : 0u;
+    }
+
+    /** genCycle of the last connected packet (its header may be gone
+     *  from the VC once the tail left; snapshots keep it). */
     Cycle connGenCycle() const { return connGenCycle_; }
 
     void
-    connect(std::uint32_t vc, std::uint32_t output,
-            std::uint32_t len_flits, Cycle gen_cycle = 0)
+    connect(std::uint32_t vc, std::uint32_t output)
     {
         connVc_ = vc;
         connOutput_ = output;
-        connFlitsLeft_ = len_flits;
-        connGenCycle_ = gen_cycle;
+        connGenCycle_ = vcs_[vc].packet().genCycle;
     }
 
-    /** One flit transferred; returns true when the packet completed. */
+    /** One buffered flit of the connected VC crosses the switch;
+     *  returns true when it was the tail, ending the connection. */
     bool
-    transferOne()
+    sendFlit()
     {
-        --connFlitsLeft_;
-        if (connFlitsLeft_ == 0) {
-            connVc_ = kNoVc;
-            return true;
-        }
-        return false;
+        --vcFlits_;
+        if (!vcs_[connVc_].sendOne())
+            return false;
+        connVc_ = kNoVc;
+        return true;
     }
 
     /**
@@ -207,7 +188,7 @@ class InputPort
     std::uint32_t
     vcDest(std::uint32_t vc) const
     {
-        return vcs_[vc].front().dst;
+        return vcs_[vc].packet().dst;
     }
 
     /** Any flit buffered in any VC? For a non-connected port this is
@@ -215,15 +196,7 @@ class InputPort
      *  first and drain only while connected), which is what makes it
      *  a valid arbitration-eligibility signal for the event-driven
      *  simulator core. */
-    bool
-    anyVcOccupied() const
-    {
-        for (const auto &vc : vcs_) {
-            if (!vc.empty())
-                return true;
-        }
-        return false;
-    }
+    bool anyVcOccupied() const { return vcFlits_ != 0; }
 
     /** Total flits buffered in VCs plus queued at the source. */
     std::uint64_t backlogFlits() const;
@@ -231,17 +204,13 @@ class InputPort
     /**
      * Forcibly tear down the active connection because its channel
      * failed, dropping the in-flight packet: clears the connection's
-     * VC, cancels the injection stream if it was still feeding that
-     * same packet (VC ownership guarantees the streaming packet *is*
-     * the connected one), and reports what must be dropped.
+     * VC and cancels the injection stream if it was still feeding it.
      *
-     * @param[out] flits_dropped  connection flits never transferred
-     *                            (the caller charges these to its
-     *                            dropped-flit ledger)
+     * @param[out] flits_dropped  connection flits never transferred,
+     *                            for the caller's dropped-flit ledger
      * @param[out] pop_source     true when the dropped packet is still
-     *                            the source queue's head (fill was
-     *                            mid-stream); the caller advances the
-     *                            real or virtual source queue
+     *                            the source queue's head; the caller
+     *                            advances the real or virtual queue
      */
     void breakConnection(std::uint32_t &flits_dropped,
                          bool &pop_source);
@@ -253,17 +222,13 @@ class InputPort
     RingBuffer<Packet> sourceQueue_;
     std::vector<VirtualChannel> vcs_;
 
-    /** Injection-side streaming state. */
-    std::uint32_t fillVc_ = kNoVc;   //!< VC receiving the current packet
-    std::uint16_t fillIdx_ = 0;      //!< next flit index to inject
+    std::uint32_t fillVc_ = kNoVc; //!< VC receiving the current packet
+    std::uint32_t vcFlits_ = 0;    //!< flits buffered over all VCs
 
-    /** Arbitration round-robin pointer. */
-    std::uint32_t rrNext_ = 0;
+    std::uint32_t rrNext_ = 0; //!< arbitration round-robin pointer
 
-    /** Active crossbar connection. */
-    std::uint32_t connVc_ = kNoVc;
+    std::uint32_t connVc_ = kNoVc; //!< active crossbar connection
     std::uint32_t connOutput_ = 0;
-    std::uint32_t connFlitsLeft_ = 0;
     Cycle connGenCycle_ = 0;
 };
 

@@ -60,6 +60,7 @@ struct Packet
     std::uint32_t src = 0;
     std::uint32_t dst = 0;
     std::uint16_t lenFlits = 4;
+    std::uint16_t pad_[3] = {}; //!< so raw copies hold no stray byte
     Cycle genCycle = 0;
 
     void
@@ -96,6 +97,9 @@ struct Packet
         return f;
     }
 };
+
+static_assert(std::has_unique_object_representations_v<Packet>,
+              "Packet must have no implicit padding");
 
 } // namespace hirise::net
 

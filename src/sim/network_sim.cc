@@ -304,12 +304,12 @@ NetworkSim::arbitrateCycle()
     };
     auto grant = [this](std::uint32_t i, std::uint32_t out) {
         const std::uint32_t v = candVcScratch_[i];
-        const net::Flit &head = ports_[i].vcs()[v].front();
+        const net::Packet &head = ports_[i].vcs()[v].packet();
         if (measuring_)
             queueing_.add(static_cast<double>(cycle_ - head.genCycle));
         if (obs::on()) [[unlikely]]
-            recordGrant(i, out, v, head.packet);
-        ports_[i].connect(v, out, cfg_.packetLen, head.genCycle);
+            recordGrant(i, out, v, head.id);
+        ports_[i].connect(v, out);
     };
     if (event_)
         core_.arbitrate(pick, grant);
@@ -323,12 +323,12 @@ NetworkSim::transferCycle()
     core_.transfer([&](std::uint32_t i) {
         net::InputPort &port = ports_[i];
         sim_assert(port.connected(), "stale connected bit %u", i);
-        net::VirtualChannel &vc = port.vcs()[port.connVc()];
+        const net::VirtualChannel &vc = port.vcs()[port.connVc()];
         if (vc.empty())
             return; // bubble: flit not yet streamed in from source
-        net::Flit f = vc.popFlit();
+        const net::Packet &pkt = vc.packet();
         std::uint32_t out = port.connOutput();
-        sim_assert(f.dst == out, "flit routed to wrong output");
+        sim_assert(pkt.dst == out, "flit routed to wrong output");
         ++flitsDelivered_;
         if (measuring_)
             ++measFlitsDelivered_;
@@ -338,22 +338,20 @@ NetworkSim::transferCycle()
             faultMgr_.onFlitTransfer(
                 cycle_, core_.fabric().heldChannelId(out));
         }
-        bool done = port.transferOne();
-        if (done) {
-            sim_assert(f.tail, "connection ended mid-packet");
+        if (port.sendFlit()) {
             core_.release(i, port.anyVcOccupied());
             ++delivered_;
             if (measuring_) {
-                double lat = static_cast<double>(cycle_ - f.genCycle);
+                double lat = static_cast<double>(cycle_ - pkt.genCycle);
                 latency_.add(lat);
                 latencyHist_.add(lat);
-                perInputLatency_[f.src].add(lat);
-                ++perInputPackets_[f.src];
-                if (f.genCycle >= measureStart_)
+                perInputLatency_[pkt.src].add(lat);
+                ++perInputPackets_[pkt.src];
+                if (pkt.genCycle >= measureStart_)
                     ++measPacketsCompleted_;
             }
             if (obs::on()) [[unlikely]]
-                recordRelease(i, out, cfg_.packetLen, f.packet);
+                recordRelease(i, out, cfg_.packetLen, pkt.id);
         }
     });
     if (faultsOn_) {
@@ -479,7 +477,7 @@ NetworkSim::checkInvariants() const
     };
     check::verifyHolderInjective(spec_.radix, holder);
     for (std::uint32_t i = 0; i < spec_.radix; ++i) {
-        check::verifyVcState(ports_[i], cfg_.vcDepth);
+        check::verifyVcState(ports_[i], cfg_.vcDepth, spec_.radix);
         sim_assert(core_.connected(i) == ports_[i].connected(),
                    "connected bit %u out of sync", i);
         sim_assert(fillPending_.test(i) ==
@@ -677,8 +675,12 @@ NetworkSim::load(snap::Reader &r)
     r.vec(perInputPackets_);
     for (auto &p : ports_)
         p.load(r);
-    if (satOn_)
+    if (satOn_) {
         satQ_.load(r);
+        satPart_.forEachSet([&](std::uint32_t i) {
+            ports_[i].resumeFill(satQ_.head(i));
+        });
+    }
     core_.fabric().load(r);
     faultMgr_.load(r);
     pattern_->load(r);

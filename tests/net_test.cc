@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the network primitives: flits, VC buffers, input ports.
+ * Tests for the network primitives: flits, VC counters, input ports.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/bitvec.hh"
 #include "net/input_port.hh"
 #include "net/packet.hh"
 
+using hirise::BitVec;
 using namespace hirise::net;
 
 namespace {
@@ -51,26 +53,27 @@ TEST(VirtualChannel, PacketOwnershipLifecycle)
     EXPECT_FALSE(vc.busy());
 
     Packet p = makePacket(1, 0, 5);
-    vc.pushFlit(p.flit(0));
+    vc.pushHead(p);
     EXPECT_TRUE(vc.busy());
     EXPECT_TRUE(vc.headReady());
     EXPECT_FALSE(vc.tailQueued());
+    EXPECT_EQ(vc.packet().dst, 5u);
 
     for (std::uint16_t i = 1; i < 4; ++i)
-        vc.pushFlit(p.flit(i));
+        vc.fillOne();
     EXPECT_TRUE(vc.full());
     EXPECT_TRUE(vc.tailQueued());
 
     for (int i = 0; i < 3; ++i) {
-        Flit f = vc.popFlit();
-        EXPECT_FALSE(f.tail);
+        EXPECT_FALSE(vc.sendOne()); // not the tail
         EXPECT_TRUE(vc.busy()); // still owned until the tail leaves
     }
     EXPECT_FALSE(vc.headReady()); // mid-packet head is not a head flit
-    Flit tail = vc.popFlit();
-    EXPECT_TRUE(tail.tail);
+    EXPECT_TRUE(vc.sendOne()); // the tail
     EXPECT_FALSE(vc.busy());
     EXPECT_TRUE(vc.empty());
+    EXPECT_EQ(vc.buffered(), 0u);
+    EXPECT_EQ(vc.sent(), 0u);
 }
 
 TEST(InputPort, FillStreamsOneFlitPerCycle)
@@ -93,8 +96,8 @@ TEST(InputPort, SecondPacketTakesAnotherVc)
         port.fillCycle();
     EXPECT_EQ(port.vcs()[0].size(), 4u);
     EXPECT_EQ(port.vcs()[1].size(), 4u);
-    EXPECT_EQ(port.vcs()[0].front().dst, 5u);
-    EXPECT_EQ(port.vcs()[1].front().dst, 6u);
+    EXPECT_EQ(port.vcs()[0].packet().dst, 5u);
+    EXPECT_EQ(port.vcs()[1].packet().dst, 6u);
 }
 
 TEST(InputPort, FullVcBackpressuresFill)
@@ -107,7 +110,8 @@ TEST(InputPort, FullVcBackpressuresFill)
     EXPECT_EQ(port.vcs()[0].size(), 2u);
     ASSERT_FALSE(port.sourceQueue().empty());
     // Draining one flit lets one more in.
-    port.vcs()[0].popFlit();
+    port.connect(0, 5);
+    port.sendFlit();
     port.fillCycle();
     EXPECT_EQ(port.vcs()[0].size(), 2u);
 }
@@ -140,15 +144,13 @@ TEST(InputPort, ConnectionLifecycle)
     for (int i = 0; i < 4; ++i)
         port.fillCycle();
     std::uint32_t v = port.pickCandidateVc();
-    port.connect(v, 5, 4);
+    port.connect(v, 5);
     EXPECT_TRUE(port.connected());
     EXPECT_EQ(port.connOutput(), 5u);
-    for (int i = 0; i < 3; ++i) {
-        port.vcs()[v].popFlit();
-        EXPECT_FALSE(port.transferOne());
-    }
-    port.vcs()[v].popFlit();
-    EXPECT_TRUE(port.transferOne());
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(port.sendFlit());
+    EXPECT_EQ(port.flitsLeft(), 1u);
+    EXPECT_TRUE(port.sendFlit());
     EXPECT_FALSE(port.connected());
 }
 
@@ -163,6 +165,104 @@ TEST(InputPort, BacklogCountsQueueAndVcsOnce)
     for (int i = 0; i < 3; ++i)
         port.fillCycle();
     EXPECT_EQ(port.backlogFlits(), 8u);
-    port.vcs()[0].popFlit();
+    port.connect(0, 5);
+    port.sendFlit();
     EXPECT_EQ(port.backlogFlits(), 7u);
+}
+
+namespace {
+
+/** A port whose VCs 0..n-1 each hold a whole packet for dst 5 + v. */
+InputPort
+portWithPackets(std::uint32_t num_vcs, std::uint32_t n)
+{
+    InputPort port(num_vcs, 4);
+    for (std::uint32_t v = 0; v < n; ++v)
+        port.sourceQueue().push_back(makePacket(v + 1, 0, 5 + v));
+    for (std::uint32_t i = 0; i < 4 * n; ++i)
+        port.fillCycle();
+    return port;
+}
+
+} // namespace
+
+TEST(InputPort, CandidateSkipsVcsBoundForBusyOutputs)
+{
+    InputPort port = portWithPackets(4, 3); // dsts 5, 6, 7
+    EXPECT_EQ(port.pickCandidateVc(), 0u); // round-robin now at 1
+
+    BitVec none(8);
+    EXPECT_EQ(port.pickCandidateVc(&none), InputPort::kNoVc);
+    // No VC qualified, so the round-robin pointer did not move.
+    EXPECT_EQ(port.pickCandidateVc(), 1u);
+
+    BitVec only7(8);
+    only7.set(7);
+    EXPECT_EQ(port.pickCandidateVc(&only7), 2u); // VC 0 (dst 5) skipped
+    EXPECT_EQ(port.pickCandidateVc(), 0u); // wraps past empty VC 3
+}
+
+TEST(InputPort, RoundRobinWrapsOverThreeVcs)
+{
+    InputPort port = portWithPackets(3, 3);
+    for (int round = 0; round < 2; ++round) {
+        for (std::uint32_t v = 0; v < 3; ++v)
+            EXPECT_EQ(port.pickCandidateVc(), v) << "round " << round;
+    }
+}
+
+TEST(InputPort, OneFlitPacketIsHeadAndTail)
+{
+    InputPort port(4, 4);
+    port.sourceQueue().push_back(makePacket(1, 0, 5, 1));
+    port.fillCycle();
+    EXPECT_TRUE(port.sourceQueue().empty());
+    EXPECT_EQ(port.fillProgress(), 0u);
+    EXPECT_TRUE(port.vcs()[0].headReady());
+    EXPECT_TRUE(port.vcs()[0].tailQueued());
+
+    ASSERT_EQ(port.pickCandidateVc(), 0u);
+    port.connect(0, 5);
+    EXPECT_EQ(port.flitsLeft(), 1u);
+    EXPECT_TRUE(port.sendFlit());
+    EXPECT_FALSE(port.connected());
+    EXPECT_FALSE(port.vcs()[0].busy());
+    EXPECT_FALSE(port.anyVcOccupied());
+    EXPECT_EQ(port.backlogFlits(), 0u);
+}
+
+TEST(InputPort, BreakConnectionMidStreamClearsCounters)
+{
+    InputPort port(2, 4);
+    port.sourceQueue().push_back(makePacket(1, 0, 5));
+    port.fillCycle();
+    port.fillCycle();
+    port.connect(0, 5);
+    port.sendFlit(); // one of the two buffered flits leaves
+
+    std::uint32_t dropped = 0;
+    bool pop_source = false;
+    port.breakConnection(dropped, pop_source);
+    EXPECT_EQ(dropped, 3u);
+    EXPECT_TRUE(pop_source); // the packet was still streaming in
+    EXPECT_FALSE(port.connected());
+    EXPECT_EQ(port.fillProgress(), 0u);
+    EXPECT_FALSE(port.vcs()[0].busy());
+    EXPECT_EQ(port.vcs()[0].buffered(), 0u);
+    EXPECT_EQ(port.vcs()[0].sent(), 0u);
+    EXPECT_FALSE(port.anyVcOccupied());
+
+    // Breaking after the tail is buffered leaves the source alone.
+    port.sourceQueue().pop_front();
+    port.sourceQueue().push_back(makePacket(2, 0, 6));
+    for (int i = 0; i < 4; ++i)
+        port.fillCycle();
+    port.connect(0, 6);
+    port.sendFlit();
+    port.breakConnection(dropped, pop_source);
+    EXPECT_EQ(dropped, 3u);
+    EXPECT_FALSE(pop_source);
+    EXPECT_EQ(port.vcs()[0].buffered(), 0u);
+    EXPECT_EQ(port.vcs()[0].sent(), 0u);
+    EXPECT_EQ(port.backlogFlits(), 0u);
 }
