@@ -335,8 +335,8 @@ BM_LowLoadRun_Flat2d(benchmark::State &state)
 }
 
 /** Saturation A/B: guards the "event mode must not regress at high
- *  load" side of the trade (the heap hands over to per-cycle polling
- *  above NetworkSim::kInjHeapMaxRate). */
+ *  load" side of the trade (every input injects every cycle, so the
+ *  injection wheel pops every input every cycle). */
 static void
 BM_SaturationRun_HiRise(benchmark::State &state)
 {
@@ -350,6 +350,24 @@ static void
 BM_SaturationRun_HiRise_Legacy(benchmark::State &state)
 {
     loadedRun(state, Topology::HiRise, 1.0, 5000, true);
+}
+
+/** Between saturation throughput and load 1 (load 0.5 is past the
+ *  radix-128 switch's saturation): source queues grow every cycle, so
+ *  materialized queues copy and store every backlog packet while
+ *  virtual ones keep a count and a per-cycle injection log. */
+static void
+BM_OverSaturatedRun_HiRise(benchmark::State &state)
+{
+    loadedRun(state, Topology::HiRise, 0.5, 5000);
+}
+
+/** The same run with cfg.legacySatQueues pinning materialized
+ *  queues. */
+static void
+BM_OverSaturatedRun_HiRise_Legacy(benchmark::State &state)
+{
+    loadedRun(state, Topology::HiRise, 0.5, 5000, true);
 }
 
 // Args: {radix, dense? 1 : 0}.
@@ -370,6 +388,14 @@ BENCHMARK(BM_SaturationRun_HiRise)
     ->Args({128, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SaturationRun_HiRise_Legacy)
+    ->Args({128, 0})
+    ->Args({128, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OverSaturatedRun_HiRise)
+    ->Args({128, 0})
+    ->Args({128, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OverSaturatedRun_HiRise_Legacy)
     ->Args({128, 0})
     ->Args({128, 1})
     ->Unit(benchmark::kMillisecond);

@@ -4,7 +4,11 @@ the committed baseline (BENCH_microperf.json) and fail on regressions.
 
 For every benchmark name present in both files, the throughput metric
 (items_per_second when both report it, else 1/real_time) must not drop
-more than --threshold (default 25%) below the baseline. New benchmarks
+more than --threshold (default 25%) below the baseline. A file run with
+--benchmark_repetitions carries a _median aggregate per benchmark; when
+one is present it stands for that benchmark instead of the single
+repetitions (one whole run can spread 50% on a shared host; the median
+of five is steadier), and the status column says which was used. New benchmarks
 with no baseline entry are reported and skipped; baseline entries
 missing from the fresh run fail, since a silently dropped benchmark
 would otherwise hide a regression forever.
@@ -36,14 +40,24 @@ HOST_CONTEXT_KEYS = ("num_cpus", "mhz_per_cpu")
 
 
 def load(path):
+    """Context, and one entry per benchmark: its _median aggregate
+    when the run was repeated, else its (last) iteration row."""
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    runs, medians = {}, {}
     for b in doc.get("benchmarks", []):
+        name = b.get("run_name", b["name"])
         if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[name] = b
             continue
-        out[b["name"]] = b
-    return doc.get("context", {}), out
+        runs[name] = b
+    runs.update(medians)
+    return doc.get("context", {}), runs
+
+
+def kind(entry):
+    return "median" if entry.get("aggregate_name") == "median" else "single"
 
 
 def metric(entry):
@@ -127,7 +141,8 @@ def main():
         if bad:
             status = "WARN" if downgrade else "FAIL"
         print(f"{name:<{width}}{b:>14.4g}{f:>14.4g}"
-              f"{delta * 100:>8.1f}%  {status} ({unit})")
+              f"{delta * 100:>8.1f}%  {status} ({unit}, "
+              f"{kind(base[name])}/{kind(fresh[name])})")
         if bad:
             msg = (f"{name}: {f:.4g} vs baseline {b:.4g} "
                    f"({delta * 100:+.1f}% < -{args.threshold * 100:.0f}%)")

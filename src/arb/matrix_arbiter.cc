@@ -1,21 +1,25 @@
 #include "arb/matrix_arbiter.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace hirise::arb {
 
+namespace {
+
+using Word = BitVec::Word;
+constexpr std::uint32_t kWordBits = BitVec::kWordBits;
+
+} // namespace
+
 MatrixArbiter::MatrixArbiter(std::uint32_t n)
-    : n_(n), rowWords_((n + kWordBits - 1) / kWordBits),
-      prio_(std::size_t(n) * rowWords_, 0)
+    : n_(n), stamp_(n), next_(n)
 {
     sim_assert(n >= 1, "arbiter needs at least one port");
     // Initial strict order: lower index outranks higher index.
-    for (std::uint32_t i = 0; i < n_; ++i)
-        for (std::uint32_t j = i + 1; j < n_; ++j)
-            set(i, j, true);
+    std::iota(stamp_.begin(), stamp_.end(), std::uint64_t(0));
 }
 
 std::uint32_t
@@ -23,22 +27,15 @@ MatrixArbiter::pick(const BitVec &req) const
 {
     sim_assert(req.size() == n_, "request vector size %u != %u",
                req.size(), n_);
-    const Word *rw = req.words();
-    for (std::uint32_t k = 0; k < rowWords_; ++k) {
-        Word cand = rw[k];
-        while (cand) {
-            std::uint32_t bit = static_cast<std::uint32_t>(
-                std::countr_zero(cand));
-            cand &= cand - 1;
-            std::uint32_t i = k * kWordBits + bit;
-            // i wins iff no other requestor outranks it:
-            // (req & ~row(i)) must contain no bit besides i itself.
-            if (!simd::losingAny(rw, row(i), rowWords_, k,
-                                 Word(1) << bit))
-                return i;
+    std::uint32_t best = kNone;
+    std::uint64_t best_stamp = ~std::uint64_t(0);
+    req.forEachSet([&](std::uint32_t i) {
+        if (stamp_[i] < best_stamp) {
+            best_stamp = stamp_[i];
+            best = i;
         }
-    }
-    return kNone;
+    });
+    return best;
 }
 
 std::uint32_t
@@ -53,39 +50,58 @@ MatrixArbiter::pick(const std::vector<bool> &req) const
     return pick(b);
 }
 
-void
-MatrixArbiter::update(std::uint32_t winner)
-{
-    sim_assert(winner < n_, "winner %u out of range", winner);
-    // Row write: the winner now outranks nobody.
-    Word *rw = row(winner);
-    std::fill(rw, rw + rowWords_, 0);
-    // Column write: everyone else outranks the winner.
-    Word m = Word(1) << (winner % kWordBits);
-    std::uint32_t wk = winner / kWordBits;
-    for (std::uint32_t j = 0; j < n_; ++j)
-        row(j)[wk] |= m;
-    row(winner)[wk] &= ~m; // keep the diagonal zero
-}
-
 bool
 MatrixArbiter::outranks(std::uint32_t i, std::uint32_t j) const
 {
     sim_assert(i < n_ && j < n_ && i != j, "bad pair %u,%u", i, j);
-    return at(i, j);
+    return stamp_[i] < stamp_[j];
 }
 
 std::vector<std::uint32_t>
 MatrixArbiter::order() const
 {
     std::vector<std::uint32_t> idx(n_);
-    for (std::uint32_t i = 0; i < n_; ++i)
-        idx[i] = i;
+    std::iota(idx.begin(), idx.end(), 0u);
     std::sort(idx.begin(), idx.end(),
               [this](std::uint32_t a, std::uint32_t b) {
-                  return at(a, b);
+                  return stamp_[a] < stamp_[b];
               });
     return idx;
+}
+
+void
+MatrixArbiter::save(snap::Writer &w) const
+{
+    const std::uint32_t words = (n_ + kWordBits - 1) / kWordBits;
+    std::vector<Word> m(std::size_t(n_) * words, 0);
+    for (std::uint32_t i = 0; i < n_; ++i) {
+        for (std::uint32_t j = 0; j < n_; ++j) {
+            if (stamp_[i] < stamp_[j])
+                m[std::size_t(i) * words + j / kWordBits] |=
+                    Word(1) << (j % kWordBits);
+        }
+    }
+    w.vec(m);
+}
+
+void
+MatrixArbiter::load(snap::Reader &r)
+{
+    const std::uint32_t words = (n_ + kWordBits - 1) / kWordBits;
+    std::vector<Word> m;
+    r.vec(m);
+    sim_assert(m.size() == std::size_t(n_) * words,
+               "matrix-arbiter snapshot shape mismatch");
+    // A requestor's rank is the number of requestors outranking it,
+    // i.e. the set bits of its column.
+    for (std::uint32_t j = 0; j < n_; ++j) {
+        std::uint64_t rank = 0;
+        for (std::uint32_t i = 0; i < n_; ++i)
+            rank += (m[std::size_t(i) * words + j / kWordBits] >>
+                     (j % kWordBits)) & 1u;
+        stamp_[j] = rank;
+    }
+    next_ = n_;
 }
 
 } // namespace hirise::arb

@@ -17,14 +17,14 @@ namespace hirise::arb {
 /**
  * Classic matrix arbiter implementing LRG priority over n requestors.
  *
- * State is a strict total order encoded as a triangular matrix:
- * row i bit j == true means i currently outranks j. Granting i moves
- * it behind everyone (least recently granted wins next time).
- *
- * Rows are stored as uint64 word arrays so pick() evaluates
- * "req[i] && none_set(req & ~row(i))" a word at a time: input i wins
- * exactly when no other requestor outranks it, and the whole O(n)
- * inner dominance test collapses to a handful of AND/ANDNOT word ops.
+ * The hardware state is a strict total order encoded as a triangular
+ * matrix: row i bit j == true means i currently outranks j, and
+ * granting i moves it behind everyone (least recently granted wins
+ * next time). That order is exactly "older last grant outranks newer",
+ * so it is kept as one last-grant stamp per requestor: pick() takes
+ * the minimum stamp over the requestors, and update() is one store
+ * instead of a row clear plus an n-row column write. The matrix
+ * exists only in snapshots, whose bytes are the matrix's.
  *
  * pick() is const so callers can decompose arbitration (e.g. Hi-Rise
  * only updates the local-switch LRG when the inter-layer stage
@@ -49,7 +49,12 @@ class MatrixArbiter
     std::uint32_t pick(const std::vector<bool> &req) const;
 
     /** Demote @p winner to the lowest priority. */
-    void update(std::uint32_t winner);
+    void
+    update(std::uint32_t winner)
+    {
+        sim_assert(winner < n_, "winner %u out of range", winner);
+        stamp_[winner] = next_++;
+    }
 
     /** Does i currently outrank j? (i != j) */
     bool outranks(std::uint32_t i, std::uint32_t j) const;
@@ -57,54 +62,18 @@ class MatrixArbiter
     /** Full priority order, highest first (for tests/debug). */
     std::vector<std::uint32_t> order() const;
 
-    void
-    save(snap::Writer &w) const
-    {
-        w.vec(prio_);
-    }
-
-    void
-    load(snap::Reader &r)
-    {
-        std::size_t shape = prio_.size();
-        r.vec(prio_);
-        sim_assert(prio_.size() == shape,
-                   "matrix-arbiter snapshot shape mismatch");
-    }
+    /** Writes the priority matrix: n rows of ceil(n/64) words, row i
+     *  bit j set when i outranks j. */
+    void save(snap::Writer &w) const;
+    /** Reads save()'s matrix and ranks it back into stamps. */
+    void load(snap::Reader &r);
 
   private:
-    using Word = BitVec::Word;
-    static constexpr std::uint32_t kWordBits = BitVec::kWordBits;
-
     std::uint32_t n_;
-    std::uint32_t rowWords_; //!< words per priority row
-    /** Row-major n rows x rowWords_ words; diagonal bits unused and
-     *  kept zero. */
-    std::vector<Word> prio_;
-
-    const Word *row(std::uint32_t i) const
-    {
-        return prio_.data() + std::size_t(i) * rowWords_;
-    }
-    Word *
-    row(std::uint32_t i)
-    {
-        return prio_.data() + std::size_t(i) * rowWords_;
-    }
-    bool
-    at(std::uint32_t i, std::uint32_t j) const
-    {
-        return (row(i)[j / kWordBits] >> (j % kWordBits)) & 1u;
-    }
-    void
-    set(std::uint32_t i, std::uint32_t j, bool v)
-    {
-        Word m = Word(1) << (j % kWordBits);
-        if (v)
-            row(i)[j / kWordBits] |= m;
-        else
-            row(i)[j / kWordBits] &= ~m;
-    }
+    /** Grant stamp per requestor; lower outranks higher. Distinct,
+     *  and all below next_. */
+    std::vector<std::uint64_t> stamp_;
+    std::uint64_t next_;
 };
 
 } // namespace hirise::arb

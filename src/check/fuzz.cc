@@ -100,6 +100,8 @@ codeName(Mutation m)
         return "check::Mutation::WavefrontStuckPriority";
       case Mutation::IsolationThresholdOffByOne:
         return "check::Mutation::IsolationThresholdOffByOne";
+      case Mutation::QueueIdOffByOne:
+        return "check::Mutation::QueueIdOffByOne";
     }
     return "?";
 }
@@ -357,6 +359,20 @@ runDifferential(const DiffConfig &c)
         return out;
     }
 
+    // Passes 3 and 4 rerun the optimized fabric with one setting of
+    // @p d flipped.
+    auto plainSim = [](const DiffConfig &d) {
+        auto fab = fabric::makeFabric(d.spec);
+        if (auto *hr = dynamic_cast<fabric::HiRiseFabric *>(fab.get())) {
+            for (const auto &f : d.faults)
+                hr->failChannel(f.srcLayer, f.dstLayer, f.chan);
+        }
+        auto s = std::make_unique<sim::NetworkSim>(
+            d.spec, d.cfg, makePattern(d), std::move(fab));
+        s->setFaultSchedule(d.faultSchedule);
+        return s;
+    };
+
     // Pass 3: the optimized fabric again in the opposite stepping
     // mode; the event-driven and dense cores must agree bit-exactly.
     // Skipped under an oracle mutation (it perturbs only the ref side,
@@ -364,16 +380,7 @@ runDifferential(const DiffConfig &c)
     if (c.mutation == Mutation::None) {
         DiffConfig flip = c;
         flip.cfg.denseStepping = !c.cfg.denseStepping;
-        auto alt_fab = fabric::makeFabric(flip.spec);
-        if (auto *hr =
-                dynamic_cast<fabric::HiRiseFabric *>(alt_fab.get())) {
-            for (const auto &f : flip.faults)
-                hr->failChannel(f.srcLayer, f.dstLayer, f.chan);
-        }
-        sim::NetworkSim alt_sim(flip.spec, flip.cfg, makePattern(flip),
-                                std::move(alt_fab));
-        alt_sim.setFaultSchedule(flip.faultSchedule);
-        sim::SimResult alt_res = alt_sim.run();
+        sim::SimResult alt_res = plainSim(flip)->run();
         if (!sameResult(opt_res, alt_res, &why)) {
             out.ok = false;
             out.mismatchCycle =
@@ -383,6 +390,67 @@ runDifferential(const DiffConfig &c)
                          " vs " +
                          (flip.cfg.denseStepping ? "dense" : "event") +
                          "): " + why;
+            return out;
+        }
+    }
+
+    // Pass 4: virtual against materialized source queues (the
+    // legacySatQueues pin flipped). A wrong packet id moves no
+    // SimResult field, so the final snapshot payloads must match too;
+    // at saturation, whose layout differs between the modes, the
+    // packets in the VCs are compared instead. The queue-id mutation
+    // is seeded into both runs; only virtual queues act on it.
+    if (c.mutation == Mutation::None ||
+        c.mutation == Mutation::QueueIdOffByOne) {
+        DiffConfig flip = c;
+        flip.cfg.legacySatQueues = !c.cfg.legacySatQueues;
+        auto a = plainSim(c);
+        auto b = plainSim(flip);
+        if (c.mutation == Mutation::QueueIdOffByOne) {
+            a->mutateQueueIds();
+            b->mutateQueueIds();
+        }
+        const sim::SimResult a_res = a->run();
+        const sim::SimResult b_res = b->run();
+        std::string what;
+        if (!sameResult(a_res, b_res, &why)) {
+            what = "SimResult diverged: " + why;
+        } else if (!sim::VirtualSourceQueues::saturates(
+                       c.cfg.injectionRate)) {
+            snap::Writer wa, wb;
+            a->save(wa);
+            b->save(wb);
+            if (wa.buffer() != wb.buffer())
+                what = "final snapshot payloads differ";
+        } else {
+            for (std::uint32_t i = 0; i < c.spec.radix && what.empty();
+                 ++i) {
+                const auto &va = a->port(i).vcs();
+                const auto &vb = b->port(i).vcs();
+                for (std::size_t v = 0; v < va.size(); ++v) {
+                    const net::Packet &pa = va[v].packet();
+                    const net::Packet &pb = vb[v].packet();
+                    if (va[v].busy() != vb[v].busy() ||
+                        (va[v].busy() &&
+                         (pa.id != pb.id || pa.dst != pb.dst ||
+                          pa.genCycle != pb.genCycle))) {
+                        what = "final VC packets differ at input " +
+                               std::to_string(i);
+                        break;
+                    }
+                }
+            }
+        }
+        if (!what.empty()) {
+            out.ok = false;
+            out.mismatchCycle = c.cfg.warmupCycles + c.cfg.measureCycles;
+            out.detail = std::string("queue-mode divergence (") +
+                         (c.cfg.legacySatQueues ? "materialized"
+                                                : "virtual") +
+                         " vs " +
+                         (flip.cfg.legacySatQueues ? "materialized"
+                                                   : "virtual") +
+                         "): " + what;
             return out;
         }
     }

@@ -6,7 +6,9 @@
  * in lockstep (per-cycle grant matrices), a second pure-oracle
  * end-to-end run (bit-exact SimResult), and a third run of the
  * optimized fabric in the opposite stepping mode (dense vs
- * event-driven, also bit-exact), and on any mismatch greedily shrinks
+ * event-driven, also bit-exact), a fourth with the source queues
+ * flipped between virtual and materialized (bit-exact SimResult and
+ * final snapshot payload), and on any mismatch greedily shrinks
  * the configuration to a minimal reproducer printed as a
  * ready-to-paste gtest case.
  */
@@ -83,13 +85,17 @@ struct DiffOutcome
 };
 
 /**
- * Run @p c three ways: the optimized fabric in lockstep with the
+ * Run @p c four ways: the optimized fabric in lockstep with the
  * oracle (compared every cycle), the whole simulation on the pure
  * oracle (final SimResult compared bit-exactly), and — when the
  * mutation is off, so the first pass defines a trusted result — the
  * optimized fabric again in the opposite stepping mode
  * (c.cfg.denseStepping flipped), whose SimResult must also match
- * bit-exactly.
+ * bit-exactly. The fourth pass runs the optimized fabric with virtual
+ * and with materialized source queues (c.cfg.legacySatQueues
+ * flipped); SimResults and final snapshot payloads must match. It
+ * also runs under Mutation::QueueIdOffByOne, which it exists to
+ * catch.
  */
 DiffOutcome runDifferential(const DiffConfig &c);
 

@@ -20,6 +20,7 @@ toString(Mutation m)
         return "wavefront-stuck-priority";
       case Mutation::IsolationThresholdOffByOne:
         return "isolation-threshold-off-by-one";
+      case Mutation::QueueIdOffByOne: return "queue-id-off-by-one";
     }
     return "?";
 }

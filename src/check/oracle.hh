@@ -57,6 +57,12 @@ enum class Mutation
      *  oracle replay only), so the mutant isolates one error early
      *  and its drop/throughput ledger diverges. */
     IsolationThresholdOffByOne,
+    /** A virtual source queue's advanced head counts its own input in
+     *  the id popcount (sim/virtual_queue.hh's mutIdOffByOne, applied
+     *  to the simulator itself), so packet ids come out one too high.
+     *  No SimResult field moves; the fuzzer's queue-mode pass catches
+     *  it in the final snapshot payload. */
+    QueueIdOffByOne,
 };
 
 const char *toString(Mutation m);

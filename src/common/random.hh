@@ -104,6 +104,20 @@ bernoulliThreshold(double p)
     return t + (static_cast<double>(t) < s ? 1 : 0);
 }
 
+/** First tick in [from, limit) whose draw on the stream keyed by
+ *  @p key passes the Bernoulli threshold @p thr (bernoulliThreshold),
+ *  or @p limit: one hash and one compare per tick scanned. */
+constexpr std::uint64_t
+counterNextPass(std::uint64_t key, std::uint64_t thr, std::uint64_t from,
+                std::uint64_t limit)
+{
+    for (std::uint64_t t = from; t < limit; ++t) {
+        if ((counterDrawKeyed(key, t) >> 11) < thr)
+            return t;
+    }
+    return limit;
+}
+
 /** Bernoulli(p) decision for a raw draw. */
 constexpr bool
 counterBernoulli(std::uint64_t draw, double p)

@@ -1,9 +1,8 @@
 /**
  * @file
  * Lane kernels for the arbitration and simulation hot paths: the
- * matrix-arbiter dominance test and the u32/u64 lane loops of the
- * two-phase arbitration (fabric/hirise.cc, arb/sub_block_arbiter.cc,
- * arb/class_counter.hh).
+ * u32/u64 lane loops of the two-phase arbitration (fabric/hirise.cc,
+ * arb/sub_block_arbiter.cc, arb/class_counter.hh).
  *
  * Every kernel is one plain scalar loop; there is no ISA dispatch.
  * Hand-written AVX2 and AVX-512 bodies did not win end to end
@@ -39,26 +38,6 @@ inline const char *
 tierName(Tier)
 {
     return "scalar";
-}
-
-/**
- * Matrix-arbiter dominance test: does any requestor other than the
- * candidate itself outrank it? True iff (req & ~row) has a set bit
- * besides the candidate's own (word @p self_word, mask @p self_mask).
- * This is the inner loop of arb::MatrixArbiter::pick().
- */
-inline bool
-losingAny(const Word *req, const Word *row, std::size_t n,
-          std::size_t self_word, Word self_mask)
-{
-    for (std::size_t w = 0; w < n; ++w) {
-        Word losing = req[w] & ~row[w];
-        if (w == self_word)
-            losing &= ~self_mask;
-        if (losing)
-            return true;
-    }
-    return false;
 }
 
 /**

@@ -108,11 +108,16 @@ InputPort::breakConnection(std::uint32_t &flits_dropped,
 }
 
 void
-InputPort::save(snap::Writer &w) const
+InputPort::saveQueue(snap::Writer &w) const
 {
     w.u64(sourceQueue_.size());
     for (std::size_t i = 0; i < sourceQueue_.size(); ++i)
         sourceQueue_[i].save(w);
+}
+
+void
+InputPort::saveState(snap::Writer &w) const
+{
     for (const auto &vc : vcs_)
         vc.save(w);
     w.u32(fillVc_);

@@ -215,7 +215,11 @@ class InputPort
     void breakConnection(std::uint32_t &flits_dropped,
                          bool &pop_source);
 
-    void save(snap::Writer &w) const;
+    /** save() is saveQueue() then saveState(); an owner keeping the
+     *  queue elsewhere writes its records in saveQueue()'s format. */
+    void save(snap::Writer &w) const { saveQueue(w); saveState(w); }
+    void saveQueue(snap::Writer &w) const;
+    void saveState(snap::Writer &w) const;
     void load(snap::Reader &r);
 
   private:

@@ -1,6 +1,7 @@
 #include "sim/network_sim.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 
@@ -51,19 +52,20 @@ recordInject(std::uint32_t src, std::uint32_t dst, std::uint64_t id)
     obs::CycleTracer::global().record(obs::Ev::Inject, src, dst, 0, id);
 }
 
-/** Traced virtual-injection cycle: emit the exact per-packet Inject
- *  events the legacy queued path would (ascending input order, ids
- *  first_id, first_id+1, ...), so traced and untraced runs stay
- *  byte-identical whichever saturation path is live. */
+/** Traced injection of virtual packets: the Inject events the
+ *  materialized queues would emit (ascending input order, ids from
+ *  @p first_id), so traces do not depend on the queue mode. */
 [[gnu::cold]] [[gnu::noinline]] void
-recordInjectCycleVirtual(traffic::TrafficPattern &pat,
-                         const BitVec &part, net::Cycle cycle,
-                         std::uint64_t seed, net::PacketId first_id)
+recordInjectWord(traffic::TrafficPattern &pat, std::uint32_t k,
+                 BitVec::Word bits, net::Cycle cycle,
+                 std::uint64_t seed, net::PacketId first_id)
 {
-    net::PacketId id = first_id;
-    part.forEachSet([&](std::uint32_t i) {
-        recordInject(i, pat.destAt(i, cycle, seed), id++);
-    });
+    for (BitVec::Word w = bits; w; w &= w - 1) {
+        const std::uint32_t i =
+            k * BitVec::kWordBits +
+            static_cast<std::uint32_t>(std::countr_zero(w));
+        recordInject(i, pat.destAt(i, cycle, seed), first_id++);
+    }
 }
 
 [[gnu::cold]] [[gnu::noinline]] void
@@ -84,19 +86,6 @@ recordRelease(std::uint32_t in, std::uint32_t out,
                                       packet);
 }
 
-/** Min-heap order on (cycle, input): ties pop in ascending input
- *  order, matching the dense core's per-cycle input scan. */
-struct EvLater
-{
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        return a.cycle != b.cycle ? a.cycle > b.cycle
-                                  : a.input > b.input;
-    }
-};
-
 } // namespace
 
 NetworkSim::NetworkSim(const SwitchSpec &spec, const SimConfig &cfg,
@@ -111,31 +100,19 @@ NetworkSim::NetworkSim(const SwitchSpec &spec, const SimConfig &cfg,
     : spec_(spec), cfg_(cfg), pattern_(std::move(pattern)),
       core_(std::move(fabric)), event_(!cfg.denseStepping),
       memoryless_(pattern_->memoryless()),
-      injHeapOn_(!cfg.denseStepping && pattern_->memoryless() &&
-                 cfg.injectionRate <= kInjHeapMaxRate),
+      wheelOn_(event_ && memoryless_),
+      vqOn_(memoryless_ && !cfg.legacySatQueues),
       candVcScratch_(spec.radix, net::InputPort::kNoVc),
       fillPending_(spec.radix),
       perInputLatency_(spec.radix), perInputPackets_(spec.radix, 0)
 {
     ports_.assign(spec.radix,
                   net::InputPort(cfg.numVcs, cfg.vcDepth));
-    satOn_ = memoryless_ &&
-             VirtualSourceQueues::saturates(cfg_.injectionRate) &&
-             !cfg_.legacySatQueues;
-    if (satOn_) {
-        satQ_.init(*pattern_, spec_.radix, cfg_.packetLen, cfg_.seed);
-        satPart_.resize(spec_.radix);
-        for (std::uint32_t i = 0; i < spec_.radix; ++i) {
-            if (satQ_.participates(i))
-                satPart_.set(i);
-        }
-    }
-    if (injHeapOn_) {
-        injHeap_.reserve(spec.radix);
-        for (std::uint32_t i = 0; i < spec_.radix; ++i) {
-            if (pattern_->participates(i))
-                scheduleNextInjection(i, 0);
-        }
+    if (vqOn_)
+        vq_.init(*pattern_, spec_.radix, cfg_.packetLen, cfg_.seed);
+    if (wheelOn_) {
+        wheel_.init(*pattern_, spec_.radix, cfg_.injectionRate,
+                    cfg_.seed, 0);
     }
     if (cfg_.trace && !obs::CycleTracer::global().enabled())
         obs::CycleTracer::global().enable();
@@ -157,97 +134,67 @@ NetworkSim::setFaultSchedule(const FaultSchedule &sched)
 }
 
 void
-NetworkSim::injectPacket(std::uint32_t i, std::uint32_t dst)
+NetworkSim::injectWord(std::uint32_t k, BitVec::Word bits)
 {
-    net::Packet p;
-    p.id = nextId_++;
-    p.src = i;
-    p.dst = dst;
-    sim_assert(p.dst < spec_.radix, "pattern dst out of range");
-    p.lenFlits = static_cast<std::uint16_t>(cfg_.packetLen);
-    p.genCycle = cycle_;
-    ports_[i].sourceQueue().push_back(p);
-    fillPending_.set(i);
-    ++injected_;
-    if (measuring_) {
-        measFlitsOffered_ += p.lenFlits;
-        ++measPacketsInjected_;
-    }
-    if (obs::on()) [[unlikely]]
-        recordInject(i, p.dst, p.id);
-}
-
-void
-NetworkSim::injectDenseCycle()
-{
-    for (std::uint32_t i = 0; i < spec_.radix; ++i) {
-        if (pattern_->injectAt(i, cycle_, cfg_.injectionRate,
-                               cfg_.seed)) {
-            injectPacket(i,
-                         pattern_->destAt(i, cycle_, cfg_.seed));
+    const std::uint32_t n = static_cast<std::uint32_t>(
+        std::popcount(bits));
+    if (vqOn_) {
+        // The packets stay virtual until each heads its queue.
+        fillPending_.words()[k] |=
+            vq_.injectWord(k, bits, nextId_, cycle_);
+        if (obs::on()) [[unlikely]]
+            recordInjectWord(*pattern_, k, bits, cycle_, cfg_.seed,
+                             nextId_);
+        nextId_ += n;
+    } else {
+        for (BitVec::Word w = bits; w; w &= w - 1) {
+            net::Packet p;
+            p.id = nextId_++;
+            p.src = k * BitVec::kWordBits +
+                    static_cast<std::uint32_t>(std::countr_zero(w));
+            p.dst = pattern_->destAt(p.src, cycle_, cfg_.seed);
+            sim_assert(p.dst < spec_.radix, "pattern dst out of range");
+            p.lenFlits = static_cast<std::uint16_t>(cfg_.packetLen);
+            p.genCycle = cycle_;
+            ports_[p.src].sourceQueue().push_back(p);
+            if (obs::on()) [[unlikely]]
+                recordInject(p.src, p.dst, p.id);
         }
+        fillPending_.words()[k] |= bits;
     }
-}
-
-void
-NetworkSim::heapPush(InjEvent ev)
-{
-    injHeap_.push_back(ev);
-    std::push_heap(injHeap_.begin(), injHeap_.end(), EvLater{});
-}
-
-void
-NetworkSim::scheduleNextInjection(std::uint32_t i, net::Cycle from)
-{
-    const net::Cycle limit = from + kInjectScanChunk;
-    net::Cycle next = pattern_->nextInjectionFrom(
-        i, from, cfg_.injectionRate, cfg_.seed, limit);
-    // next == limit means no hit inside the chunk: the entry acts as
-    // a probe (injectAt is re-evaluated on pop and the scan resumes).
-    heapPush({next, i});
-}
-
-void
-NetworkSim::injectEventCycle()
-{
-    // Due events pop in ascending input order, so packet ids are
-    // assigned exactly as the dense core's per-cycle input scan does.
-    while (!injHeap_.empty() && injHeap_.front().cycle <= cycle_) {
-        sim_assert(injHeap_.front().cycle == cycle_,
-                   "missed injection event");
-        std::pop_heap(injHeap_.begin(), injHeap_.end(), EvLater{});
-        const std::uint32_t i = injHeap_.back().input;
-        injHeap_.pop_back();
-        if (pattern_->injectAt(i, cycle_, cfg_.injectionRate,
-                               cfg_.seed)) {
-            injectPacket(i, pattern_->destAt(i, cycle_, cfg_.seed));
-            scheduleNextInjection(i, cycle_ + 1);
-        } else {
-            // Probe entry: rescan forward from here.
-            scheduleNextInjection(i, cycle_);
-        }
-    }
-}
-
-void
-NetworkSim::injectVirtualCycle()
-{
-    // Saturation fast path: every participating input injects exactly
-    // one packet this cycle (every Bernoulli draw passes at load >=
-    // 1), so the whole cycle's injection collapses to an accounting
-    // bump — the packets stay virtual (sim/virtual_queue.hh) until
-    // fillVirtualPhase() streams them into VCs. Ids are consistent
-    // with the legacy per-cycle scan: ascending input order, one id
-    // per participant.
-    const std::uint32_t p = satQ_.participants();
-    if (obs::on()) [[unlikely]]
-        recordInjectCycleVirtual(*pattern_, satPart_, cycle_,
-                                 cfg_.seed, nextId_);
-    nextId_ += p;
-    injected_ += p;
+    injected_ += n;
     if (measuring_) {
-        measFlitsOffered_ += std::uint64_t(p) * cfg_.packetLen;
-        measPacketsInjected_ += p;
+        measFlitsOffered_ += std::uint64_t(n) * cfg_.packetLen;
+        measPacketsInjected_ += n;
+    }
+}
+
+void
+NetworkSim::injectCycle()
+{
+    if (vqOn_)
+        vq_.beginCycle(cycle_, nextId_);
+    // Both schedules hand out this cycle's injections a word of
+    // inputs at a time in ascending input order, so packet ids agree
+    // between the stepping modes.
+    if (wheelOn_) {
+        wheel_.popDue(cycle_, [this](std::uint32_t k, BitVec::Word bits) {
+            injectWord(k, bits);
+        });
+        return;
+    }
+    for (std::uint32_t base = 0; base < spec_.radix;
+         base += BitVec::kWordBits) {
+        const std::uint32_t end =
+            std::min(spec_.radix, base + BitVec::kWordBits);
+        BitVec::Word bits = 0;
+        for (std::uint32_t i = base; i < end; ++i) {
+            if (pattern_->injectAt(i, cycle_, cfg_.injectionRate,
+                                   cfg_.seed))
+                bits |= BitVec::Word(1) << (i - base);
+        }
+        if (bits)
+            injectWord(base / BitVec::kWordBits, bits);
     }
 }
 
@@ -260,30 +207,17 @@ NetworkSim::fillPhase()
     // inside forEachSet is safe (iteration copies each word).
     fillPending_.forEachSet([&](std::uint32_t i) {
         net::InputPort &port = ports_[i];
-        port.fillCycle();
+        bool emptied;
+        if (vqOn_) {
+            emptied = port.fillFrom(vq_.head(i)) && !vq_.advance(i);
+        } else {
+            port.fillCycle();
+            emptied = port.sourceQueue().empty();
+        }
         if (!port.connected() && port.anyVcOccupied())
             core_.wake(i);
-        if (port.sourceQueue().empty())
+        if (emptied)
             fillPending_.reset(i);
-    });
-}
-
-void
-NetworkSim::fillVirtualPhase()
-{
-    // fillPhase over the virtual queues: at saturation a queue is
-    // never empty at fill time (a packet was injected this very
-    // cycle), so every participating input attempts a fill, and a
-    // consumed head is re-derived from the counter streams — one
-    // destAt hash per packet that actually leaves the queue (bounded
-    // by delivery throughput), not per injected packet. fillPending_
-    // stays clear: the real source queues stay empty on this path.
-    satPart_.forEachSet([&](std::uint32_t i) {
-        net::InputPort &port = ports_[i];
-        if (port.fillFrom(satQ_.head(i)))
-            satQ_.advance(i, *pattern_);
-        if (!port.connected() && port.anyVcOccupied())
-            core_.wake(i);
     });
 }
 
@@ -381,13 +315,15 @@ NetworkSim::handleBroken(
         if (pop_source) {
             // The dropped packet was still streaming from the (real
             // or virtual) source queue head; retire it there too.
-            if (satOn_) {
-                satQ_.advance(i, *pattern_);
+            bool emptied;
+            if (vqOn_) {
+                emptied = !vq_.advance(i);
             } else {
                 port.sourceQueue().pop_front();
-                if (port.sourceQueue().empty())
-                    fillPending_.reset(i);
+                emptied = port.sourceQueue().empty();
             }
+            if (emptied)
+                fillPending_.reset(i);
         }
         core_.dropBroken(bc, port.anyVcOccupied());
     }
@@ -397,11 +333,11 @@ bool
 NetworkSim::canFastForward() const
 {
     // Quiescent: no queued packet, no buffered flit, no connection.
-    // With the injection heap live the next state change is its head
-    // event, so whole idle spans can be skipped. Without it (stateful
-    // pattern, or high-rate polling) the next injection time is
-    // unknown, so every cycle must be stepped.
-    return injHeapOn_ && core_.quiescent() && fillPending_.none();
+    // With the injection wheel live the next state change is its
+    // next due slot, so whole idle spans can be skipped. Without it
+    // (stateful pattern, or the dense core) the next injection time
+    // is unknown, so every cycle must be stepped.
+    return wheelOn_ && core_.quiescent() && fillPending_.none();
 }
 
 void
@@ -417,20 +353,8 @@ NetworkSim::stepOnce()
         if (!brokenScratch_.empty())
             handleBroken(brokenScratch_);
     }
-    if (satOn_) {
-        // Saturation fast path: inject by accounting, fill from the
-        // virtual queue heads (works in both stepping modes — at load
-        // >= 1 injHeapOn_ is always false, so the legacy path would
-        // per-cycle poll here in either mode too).
-        injectVirtualCycle();
-        fillVirtualPhase();
-    } else {
-        if (injHeapOn_)
-            injectEventCycle();
-        else
-            injectDenseCycle(); // stateful / high-rate: per-cycle polls
-        fillPhase();
-    }
+    injectCycle();
+    fillPhase();
     arbitrateCycle();
     transferCycle();
     ++cycle_;
@@ -444,10 +368,7 @@ NetworkSim::stepTo(net::Cycle bound)
 {
     sim_assert(cycle_ < bound, "stepTo must advance");
     if (event_ && canFastForward()) {
-        net::Cycle next =
-            injHeap_.empty()
-                ? bound
-                : std::min(bound, injHeap_.front().cycle);
+        net::Cycle next = std::min(bound, wheel_.nextDue(cycle_));
         // Never jump a scheduled fault event or pending unisolation:
         // those cycles must be stepped so beginCycle applies them on
         // time (fabric state changes even in quiescent spans).
@@ -480,8 +401,7 @@ NetworkSim::checkInvariants() const
         check::verifyVcState(ports_[i], cfg_.vcDepth, spec_.radix);
         sim_assert(core_.connected(i) == ports_[i].connected(),
                    "connected bit %u out of sync", i);
-        sim_assert(fillPending_.test(i) ==
-                       !ports_[i].sourceQueue().empty(),
+        sim_assert(fillPending_.test(i) == (queuedPackets(i) != 0),
                    "fillPending_ bit %u out of sync", i);
         sim_assert(core_.waiting(i) ==
                        (!ports_[i].connected() &&
@@ -506,14 +426,11 @@ NetworkSim::backlogFlits() const
     std::uint64_t n = 0;
     for (const auto &p : ports_)
         n += p.backlogFlits();
-    if (satOn_) {
-        // Virtual queue contents: packets gen [head, cycle_) are
-        // injected but unconsumed. InputPort::backlogFlits() already
+    if (vqOn_) {
+        // Virtual queue contents; InputPort::backlogFlits() already
         // discounted the head's partially streamed flits.
-        satPart_.forEachSet([&](std::uint32_t i) {
-            n += satQ_.pendingFlitsBehindHead(i, cycle_,
-                                              cfg_.packetLen);
-        });
+        for (std::uint32_t i = 0; i < spec_.radix; ++i)
+            n += vq_.pendingFlits(i);
     }
     return n;
 }
@@ -610,6 +527,10 @@ NetworkSim::configKey() const
     s += "pat:" + pattern_->descriptor() + ";";
     if (faultsOn_)
         s += faultMgr_.schedule().descriptor();
+    // A saturated run's payload layout depends on the queue mode; the
+    // default mode adds nothing, so existing snapshots keep their key.
+    if (cfg_.legacySatQueues)
+        s += "queues:materialized;";
     Fnv1a h;
     h.str(s);
     return h.value();
@@ -638,16 +559,25 @@ NetworkSim::save(snap::Writer &w) const
     for (const auto &st : perInputLatency_)
         st.save(w);
     w.vec(perInputPackets_);
-    for (const auto &p : ports_)
-        p.save(w);
-    if (satOn_)
-        satQ_.save(w);
+    // Virtual queues write the records materialized queues would,
+    // except at saturation, whose format keeps only each input's next
+    // packet (its queue then holds every cycle since that packet's).
+    const bool sat = VirtualSourceQueues::saturates(cfg_.injectionRate);
+    for (std::uint32_t i = 0; i < spec_.radix; ++i) {
+        if (vqOn_ && !sat)
+            vq_.saveQueue(w, i);
+        else
+            ports_[i].saveQueue(w);
+        ports_[i].saveState(w);
+    }
+    if (vqOn_ && sat)
+        vq_.saveSaturated(w, cycle_, nextId_);
     core_.fabric().save(w);
     faultMgr_.save(w);
     pattern_->save(w);
     // Derived structures (the switch core's sets, the fill bitset,
-    // the injection heap) are rebuilt on load; the core's request
-    // scratch is all-idle between cycles.
+    // the injection wheel, the virtual queues' log) are rebuilt on
+    // load; the core's request scratch is all-idle between cycles.
 }
 
 void
@@ -675,16 +605,49 @@ NetworkSim::load(snap::Reader &r)
     r.vec(perInputPackets_);
     for (auto &p : ports_)
         p.load(r);
-    if (satOn_) {
-        satQ_.load(r);
-        satPart_.forEachSet([&](std::uint32_t i) {
-            ports_[i].resumeFill(satQ_.head(i));
-        });
-    }
+    if (vqOn_)
+        loadVirtualQueues(r);
     core_.fabric().load(r);
     faultMgr_.load(r);
     pattern_->load(r);
     rebuildDerived();
+}
+
+void
+NetworkSim::loadVirtualQueues(snap::Reader &r)
+{
+    if (VirtualSourceQueues::saturates(cfg_.injectionRate)) {
+        vq_.loadSaturated(r, cycle_);
+        for (std::uint32_t i = 0; i < spec_.radix; ++i) {
+            if (vq_.pending(i))
+                ports_[i].resumeFill(vq_.head(i));
+        }
+        vq_.rebuildLog(cycle_, nextId_, cfg_.injectionRate);
+        return;
+    }
+    // The records went into the ports' own queues (which also resumed
+    // the packet streaming in); hand them to the virtual queues, and
+    // check every one against the packets the rebuilt log gives.
+    for (std::uint32_t i = 0; i < spec_.radix; ++i) {
+        const auto &q = ports_[i].sourceQueue();
+        if (!q.empty())
+            vq_.restore(i, q.size(), q.front());
+    }
+    vq_.rebuildLog(cycle_, nextId_, cfg_.injectionRate);
+    for (std::uint32_t i = 0; i < spec_.radix; ++i) {
+        auto &q = ports_[i].sourceQueue();
+        std::size_t k = 0;
+        vq_.forEachQueued(i, [&](const net::Packet &p) {
+            sim_assert(p.id == q[k].id && p.dst == q[k].dst &&
+                           p.genCycle == q[k].genCycle &&
+                           p.lenFlits == q[k].lenFlits,
+                       "snapshot packet %zu of input %u is not the "
+                       "one its counter streams give",
+                       k, i);
+            ++k;
+        });
+        q.clear();
+    }
 }
 
 void
@@ -697,19 +660,14 @@ NetworkSim::rebuildDerived()
                            p.connected() ? p.connOutput()
                                          : fabric::kNoRequest,
                            p.anyVcOccupied());
-        fillPending_.assign(i, !p.sourceQueue().empty());
+        fillPending_.assign(i, queuedPackets(i) != 0);
     }
-    if (injHeapOn_) {
-        // Injection events are pure functions of the counter streams;
-        // rescheduling from the restored cycle reproduces the exact
-        // injection cycles the saved heap encoded (probe-chunk
-        // alignment may differ, which is outcome-neutral: probes
-        // re-evaluate injectAt on pop).
-        injHeap_.clear();
-        for (std::uint32_t i = 0; i < spec_.radix; ++i) {
-            if (pattern_->participates(i))
-                scheduleNextInjection(i, cycle_);
-        }
+    if (wheelOn_) {
+        // Injection cycles are pure functions of the counter streams,
+        // so rescheduling from the restored cycle reproduces them
+        // (probe placement may differ, which is outcome-neutral).
+        wheel_.init(*pattern_, spec_.radix, cfg_.injectionRate,
+                    cfg_.seed, cycle_);
     }
 #ifdef HIRISE_CHECK_ENABLED
     checkInvariants();

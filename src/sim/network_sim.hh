@@ -21,6 +21,7 @@
 #include "net/input_port.hh"
 #include "net/packet.hh"
 #include "sim/fault.hh"
+#include "sim/inject_wheel.hh"
 #include "sim/virtual_queue.hh"
 #include "traffic/pattern.hh"
 
@@ -52,13 +53,14 @@ struct SimConfig
      */
     bool denseStepping = false;
     /**
-     * Pin the legacy queued saturation path. At load >= 1 a
-     * memoryless run normally takes the virtual-source-queue fast
-     * path (sim/virtual_queue.hh): injection collapses to an
-     * accounting bump and only per-input head packets materialize.
-     * Results are bit-identical either way (tests/sat_fastpath_test
-     * .cc), so this is a pure A/B perf knob. Never part of the
-     * SimCache key.
+     * Pin materialized source queues. A memoryless run normally keeps
+     * virtual source queues at every load (sim/virtual_queue.hh): a
+     * pending count and a head packet per input, and a per-cycle
+     * injection log. Results and snapshot bytes below load 1 are
+     * bit-identical either way (tests/sat_fastpath_test.cc), so this
+     * is a pure A/B perf knob. Never part of the SimCache key; part
+     * of the snapshot configKey() when set, because a saturated
+     * run's snapshot layout depends on it.
      */
     bool legacySatQueues = false;
 };
@@ -107,11 +109,10 @@ struct SimResult
 class NetworkSim
 {
   public:
-    /** Above this per-input injection rate the event heap is skipped
-     *  in favour of per-cycle polling (see injHeapOn_): the expected
-     *  inter-injection gap is < 1/rate cycles, too short for the
-     *  O(log radix) heap churn per injection to pay off. Public so
-     *  benchmarks can tell the two injection regimes apart. */
+    /** Load that splits the benchmark program's "low" and "mid"
+     *  regimes (perfbench/src/points.cc). It selects no code path:
+     *  every memoryless load runs on the injection wheel in event
+     *  mode. */
     static constexpr double kInjHeapMaxRate = 0.125;
 
     NetworkSim(const SwitchSpec &spec, const SimConfig &cfg,
@@ -178,31 +179,33 @@ class NetworkSim
     bool saveSnapshotFile(const std::string &path) const;
     bool loadSnapshotFile(const std::string &path);
 
-    /** True when this run takes the virtual-source-queue saturation
-     *  fast path (load >= 1, memoryless pattern, legacy path not
-     *  pinned). Exposed for tests asserting path activation. */
-    bool virtualSourceQueuesActive() const { return satOn_; }
+    /** True when this run keeps virtual source queues (memoryless
+     *  pattern, materialized queues not pinned). Exposed for tests
+     *  asserting path activation. */
+    bool virtualSourceQueuesActive() const { return vqOn_; }
+
+    /** Packets queued at input @p i's source, the head included
+     *  until its last flit streamed into a VC (either queue mode). */
+    std::uint64_t
+    queuedPackets(std::uint32_t i) const
+    {
+        return vqOn_ ? vq_.pending(i) : ports_[i].sourceQueue().size();
+    }
+
+    /** Seed the check::Mutation::QueueIdOffByOne bug into the virtual
+     *  source queues (fuzzer and mutation tests only). */
+    void mutateQueueIds() { vq_.mutIdOffByOne = true; }
 
   private:
-    /** One pending injection event: input @c input next injects (or,
-     *  for scan-chunk probes, must be re-scanned) at @c cycle. */
-    struct InjEvent
-    {
-        net::Cycle cycle;
-        std::uint32_t input;
-    };
-
     /** Advance at least one cycle, never past @p bound (so warmup /
      *  measurement boundaries stay exact across fast-forwards). */
     void stepTo(net::Cycle bound);
     void stepOnce();
 
-    void injectDenseCycle();
-    void injectEventCycle();
-    void injectVirtualCycle(); //!< saturation fast path: accounting only
-    void injectPacket(std::uint32_t i, std::uint32_t dst);
+    void injectCycle();
+    /** The inputs in word @p k's @p bits inject this cycle. */
+    void injectWord(std::uint32_t k, BitVec::Word bits);
     void fillPhase();
-    void fillVirtualPhase(); //!< fill straight from virtual queue heads
     void arbitrateCycle();
     void transferCycle();
 
@@ -210,8 +213,10 @@ class NetworkSim
      *  drop the in-flight packets, charge the dropped-flit ledger,
      *  and book the teardowns in the switch core. */
     void handleBroken(const std::vector<fabric::BrokenConn> &broken);
+    /** load() for the virtual source queues, after the ports. */
+    void loadVirtualQueues(snap::Reader &r);
     /** Rebuild every derived structure (the switch core's input and
-     *  output sets, the fill bitset, the injection heap) from
+     *  output sets, the fill bitset, the injection wheel) from
      *  restored port + fabric state. */
     void rebuildDerived();
     net::Cycle warmEnd() const { return cfg_.warmupCycles; }
@@ -220,8 +225,6 @@ class NetworkSim
         return cfg_.warmupCycles + cfg_.measureCycles;
     }
 
-    void scheduleNextInjection(std::uint32_t i, net::Cycle from);
-    void heapPush(InjEvent ev);
     bool canFastForward() const;
 #ifdef HIRISE_CHECK_ENABLED
     void checkInvariants() const;
@@ -239,42 +242,27 @@ class NetworkSim
     /** Pattern has no per-input state: injections can be scheduled
      *  ahead as events and idle spans fast-forwarded. */
     bool memoryless_;
-    /** Event mode schedules injections through injHeap_. False at
-     *  high injection rates, where nearly every (input, cycle) fires
-     *  and the heap churn costs more than the per-cycle poll it
-     *  replaces; the counter RNG makes both strategies produce the
-     *  same injections, so this is a pure perf knob. Implies no idle
-     *  fast-forward (the next injection time is then unknown, and at
-     *  such rates quiescent spans do not occur anyway). */
-    bool injHeapOn_;
-    /** Virtual-source-queue saturation fast path live for this run
-     *  (load >= 1, memoryless pattern, legacy path not pinned via
-     *  cfg_.legacySatQueues). Source
-     *  queues then never materialize: injection is an accounting
-     *  bump, fillVirtualPhase() streams from satQ_'s head packets,
-     *  and backlogFlits() derives queue depth arithmetically. Both
-     *  stepping modes support it (at load >= 1 injHeapOn_ is always
-     *  false, so they share the per-cycle injection structure). */
-    bool satOn_ = false;
-    VirtualSourceQueues satQ_;
-    /** Participating inputs of satQ_, for the fast path's fill walk
-     *  (ascending order matches the dense injection scan). */
-    BitVec satPart_;
+    /** Event mode schedules injections on wheel_ (memoryless
+     *  patterns, at every load), which also lets quiescent spans be
+     *  fast-forwarded to the next injection. Otherwise every input is
+     *  polled every cycle: the dense reference core, and stateful
+     *  patterns, whose injectAt must see every cycle. The counter RNG
+     *  makes both produce the same injections. */
+    bool wheelOn_;
+    InjectionWheel wheel_;
+    /** Virtual source queues live for this run (memoryless pattern,
+     *  materialized queues not pinned via cfg_.legacySatQueues), in
+     *  both stepping modes. The ports' RingBuffer queues then stay
+     *  empty: injection bumps vq_'s counts and log, fillPhase()
+     *  streams from vq_'s heads, and backlogFlits() reads the counts. */
+    bool vqOn_;
+    VirtualSourceQueues vq_;
 
     std::vector<std::uint32_t> candVcScratch_; //!< VC picked, per input
-    /** Inputs with a non-empty source queue (covers in-flight fills:
-     *  a packet streams out of the queue only after its last flit).
-     *  fillPhase() visits only these. */
+    /** Inputs with a non-empty source queue, real or virtual
+     *  (covers in-flight fills: a packet leaves the queue only after
+     *  its last flit). fillPhase() visits only these. */
     BitVec fillPending_;
-    /** Min-heap on (cycle, input) of pending injection events, one
-     *  outstanding entry per participating input (memoryless event
-     *  mode only). Ascending input order at equal cycle keeps packet
-     *  ids identical to the dense core's per-cycle input scan. */
-    std::vector<InjEvent> injHeap_;
-    /** Cycles scanned per nextInjectionFrom call before conceding a
-     *  probe event (bounds single-call latency at very low rates; a
-     *  probe re-scans when popped). */
-    static constexpr net::Cycle kInjectScanChunk = 1u << 20;
 
     /** Fault machinery live for this run (non-empty schedule). The
      *  hot path pays one predictable branch per phase when off. */

@@ -103,13 +103,8 @@ class TrafficPattern
         const std::uint64_t thr = bernoulliThreshold(rate);
         if (thr == 0) // rate 0: no draw can ever pass
             return limit;
-        const std::uint64_t key =
-            counterKey(seed, lane(src, kLaneInject));
-        for (std::uint64_t t = from; t < limit; ++t) {
-            if ((counterDrawKeyed(key, t) >> 11) < thr)
-                return t;
-        }
-        return limit;
+        return counterNextPass(counterKey(seed, lane(src, kLaneInject)),
+                               thr, from, limit);
     }
 
     /** Inputs outside the pattern never inject (adversarial cases). */

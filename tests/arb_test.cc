@@ -15,8 +15,10 @@
 #include "arb/matrix_arbiter.hh"
 #include "arb/scheduler.hh"
 #include "arb/sub_block_arbiter.hh"
+#include "check/oracle.hh"
 #include "common/bitvec.hh"
 #include "common/random.hh"
+#include "common/snapshot.hh"
 
 using namespace hirise;
 using namespace hirise::arb;
@@ -163,6 +165,111 @@ TEST(MatrixArbiter, MultiWordPickMatchesNaiveLrg)
 // ---------------------------------------------------------------------
 // ClassCounterBank
 // ---------------------------------------------------------------------
+
+namespace {
+
+/** The LRG matrix maintained the way the hardware does it: granting
+ *  w clears row w and sets column w in every other row. */
+class BitMatrixLrg
+{
+  public:
+    explicit BitMatrixLrg(std::uint32_t n)
+        : n_(n), words_((n + 63) / 64), m_(std::size_t(n) * words_, 0)
+    {
+        for (std::uint32_t i = 0; i < n; ++i)
+            for (std::uint32_t j = i + 1; j < n; ++j)
+                set(i, j, true);
+    }
+
+    void
+    update(std::uint32_t w)
+    {
+        for (std::uint32_t j = 0; j < n_; ++j) {
+            set(w, j, false);
+            if (j != w)
+                set(j, w, true);
+        }
+    }
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        snap::Writer w;
+        w.vec(m_);
+        return w.buffer();
+    }
+
+  private:
+    void
+    set(std::uint32_t i, std::uint32_t j, bool v)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << (j % 64);
+        auto &word = m_[std::size_t(i) * words_ + j / 64];
+        word = v ? (word | bit) : (word & ~bit);
+    }
+
+    std::uint32_t n_;
+    std::uint32_t words_;
+    std::vector<std::uint64_t> m_;
+};
+
+std::vector<std::uint8_t>
+savedBytes(const MatrixArbiter &a)
+{
+    snap::Writer w;
+    a.save(w);
+    return w.buffer();
+}
+
+} // namespace
+
+TEST(MatrixArbiter, StampsSaveTheMatrixAndPickLikeTheReference)
+{
+    // The arbiter keeps last-grant stamps; its snapshot must still be
+    // the hardware matrix byte for byte, load must rank a matrix back
+    // into stamps, and every pick must match the naive matrix model.
+    Rng rng(23);
+    for (std::uint32_t n : {16u, 64u, 130u, 256u}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        MatrixArbiter arb(n);
+        BitMatrixLrg mat(n);
+        check::RefMatrixArbiter ref(n);
+        EXPECT_EQ(savedBytes(arb), mat.bytes());
+        for (int step = 0; step < 400; ++step) {
+            std::vector<bool> req(n, false);
+            const double density = rng.uniform();
+            for (std::uint32_t i = 0; i < n; ++i)
+                req[i] = rng.uniform() < density;
+            const std::uint32_t got = arb.pick(req);
+            const std::uint32_t want = ref.pick(req);
+            ASSERT_EQ(got == MatrixArbiter::kNone,
+                      want == check::kRefNone)
+                << "step " << step;
+            const std::uint32_t w =
+                got != MatrixArbiter::kNone
+                    ? got
+                    : static_cast<std::uint32_t>(rng.below(n));
+            if (got != MatrixArbiter::kNone) {
+                ASSERT_EQ(got, want) << "step " << step;
+            }
+            arb.update(w);
+            mat.update(w);
+            ref.update(w);
+            if (step % 50 == 49) {
+                const auto bytes = savedBytes(arb);
+                ASSERT_EQ(bytes, mat.bytes()) << "step " << step;
+                // load -> save round-trips, and the restored arbiter
+                // picks and updates on exactly as the original.
+                MatrixArbiter back(n);
+                snap::Reader r(bytes);
+                back.load(r);
+                ASSERT_TRUE(r.done());
+                ASSERT_EQ(savedBytes(back), bytes);
+                arb = back;
+            }
+        }
+    }
+}
 
 TEST(ClassCounter, StartsInHighestClass)
 {

@@ -213,39 +213,6 @@ TEST(Simd, WordKernelsMatchScalarReferenceOnEveryTier)
     }
 }
 
-TEST(Simd, LosingAnyMatchesBitLevelDominanceOnEveryTier)
-{
-    // Naive reference: candidate i loses iff some bit j != i has
-    // req[j] set and priority row bit j clear.
-    Rng rng(2);
-    for (std::size_t n : {1u, 2u, 4u, 5u, 8u, 9u, 16u, 17u}) {
-        for (int trial = 0; trial < 50; ++trial) {
-            const auto req = randomWords(rng, n);
-            const auto row = randomWords(rng, n);
-            const std::uint32_t nbits =
-                static_cast<std::uint32_t>(n) * 64;
-            const std::uint32_t self =
-                static_cast<std::uint32_t>(rng.below(nbits));
-            bool naive = false;
-            for (std::uint32_t j = 0; j < nbits; ++j) {
-                if (j == self)
-                    continue;
-                bool r = (req[j / 64] >> (j % 64)) & 1u;
-                bool p = (row[j / 64] >> (j % 64)) & 1u;
-                if (r && !p) {
-                    naive = true;
-                    break;
-                }
-            }
-            EXPECT_EQ(simd::losingAny(req.data(), row.data(), n,
-                                      self / 64,
-                                      simd::Word(1) << (self % 64)),
-                      naive)
-                << "n=" << n << " self=" << self;
-        }
-    }
-}
-
 TEST(Simd, GatherNonSentinelMatchesScalarScanOnEveryTier)
 {
     // The kernel must emit the surviving indices ascending (the

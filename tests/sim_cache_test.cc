@@ -288,9 +288,8 @@ TEST(RunPointsCached, MatchesScalarAndPopulatesCache)
     base.warmupCycles = 150;
     base.measureCycles = 600;
 
-    // Spans both injection regimes of the scalar core: at/below
-    // NetworkSim::kInjHeapMaxRate (event heap) and above it (polling,
-    // saturation fast path at 1.0).
+    // Spans the benchmark program's low (at/below
+    // NetworkSim::kInjHeapMaxRate), mid and saturated (1.0) regimes.
     std::vector<sim::RunPoint> pts;
     for (double load : {0.05, 0.125, 0.2, 0.4, 0.7, 1.0})
         for (std::uint64_t seed : {99ull, 7ull})

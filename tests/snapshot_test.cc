@@ -353,6 +353,42 @@ TEST(Snapshot, RejectsConfigMismatch)
     std::remove(path.c_str());
 }
 
+TEST(Snapshot, QueueModeMismatchIsRejectedNotCrashed)
+{
+    // At saturation the payload layout depends on the queue mode
+    // (virtual queues write only each input's next packet), so a
+    // snapshot taken in one mode must be refused by the other, and
+    // the refused point then runs fresh.
+    for (bool saved_legacy : {true, false}) {
+        SCOPED_TRACE(saved_legacy ? "materialized -> virtual"
+                                  : "virtual -> materialized");
+        auto cfg = [](bool legacy) {
+            sim::SimConfig c = cfgAt(1.0, false);
+            c.legacySatQueues = legacy;
+            return c;
+        };
+        std::string path = tmpPath("queue_mode");
+        sim::NetworkSim a(hiriseSpec(), cfg(saved_legacy),
+                          std::make_shared<traffic::UniformRandom>(64));
+        a.advanceTo(200);
+        ASSERT_TRUE(a.saveSnapshotFile(path));
+
+        sim::NetworkSim b(hiriseSpec(), cfg(!saved_legacy),
+                          std::make_shared<traffic::UniformRandom>(64));
+        EXPECT_FALSE(b.loadSnapshotFile(path));
+        EXPECT_EQ(b.now(), 0u);
+        sim::NetworkSim fresh(hiriseSpec(), cfg(!saved_legacy),
+                              std::make_shared<traffic::UniformRandom>(64));
+        expectSame(b.run(), fresh.run());
+
+        sim::NetworkSim same(hiriseSpec(), cfg(saved_legacy),
+                             std::make_shared<traffic::UniformRandom>(64));
+        EXPECT_TRUE(same.loadSnapshotFile(path));
+        EXPECT_EQ(same.now(), 200u);
+        std::remove(path.c_str());
+    }
+}
+
 TEST(Snapshot, RejectsCorruptedFile)
 {
     std::string path = tmpPath("corrupt");

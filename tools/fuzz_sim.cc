@@ -34,7 +34,8 @@ usage(const char *argv0)
         "  --mutate M    seed an oracle bug: lrg-off-by-one |\n"
         "                clrg-halve-winner | islip-grant-ptr-stuck |\n"
         "                pim-reuse-round-rng | wavefront-stuck-priority |\n"
-        "                isolation-threshold-off-by-one\n"
+        "                isolation-threshold-off-by-one |\n"
+        "                queue-id-off-by-one\n"
         "  --expect-mismatch  exit 0 iff a mismatch WAS found\n"
         "  --no-shrink   print the raw failing config, do not shrink\n"
         "  --verbose     describe every config as it runs\n",
@@ -80,6 +81,8 @@ main(int argc, char **argv)
             } else if (m == "isolation-threshold-off-by-one") {
                 opt.mutation =
                     check::Mutation::IsolationThresholdOffByOne;
+            } else if (m == "queue-id-off-by-one") {
+                opt.mutation = check::Mutation::QueueIdOffByOne;
             } else {
                 std::fprintf(stderr, "unknown mutation '%s'\n",
                              m.c_str());
