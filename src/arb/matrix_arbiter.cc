@@ -50,13 +50,6 @@ MatrixArbiter::pick(const std::vector<bool> &req) const
     return pick(b);
 }
 
-bool
-MatrixArbiter::outranks(std::uint32_t i, std::uint32_t j) const
-{
-    sim_assert(i < n_ && j < n_ && i != j, "bad pair %u,%u", i, j);
-    return stamp_[i] < stamp_[j];
-}
-
 std::vector<std::uint32_t>
 MatrixArbiter::order() const
 {

@@ -8,6 +8,7 @@
 #define HIRISE_ARB_MATRIX_ARBITER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -48,6 +49,26 @@ class MatrixArbiter
     /** Convenience overload (tests, cold paths): allocates. */
     std::uint32_t pick(const std::vector<bool> &req) const;
 
+    /**
+     * Highest-priority requestor among @p candidates (distinct indices
+     * below size(), in any order), or kNone when the list is empty.
+     * Costs O(|candidates|) however large size() is.
+     */
+    std::uint32_t
+    pick(std::span<const std::uint32_t> candidates) const
+    {
+        std::uint32_t best = kNone;
+        std::uint64_t best_stamp = ~std::uint64_t(0);
+        for (std::uint32_t i : candidates) {
+            sim_assert(i < n_, "candidate %u out of range", i);
+            if (stamp_[i] < best_stamp) {
+                best_stamp = stamp_[i];
+                best = i;
+            }
+        }
+        return best;
+    }
+
     /** Demote @p winner to the lowest priority. */
     void
     update(std::uint32_t winner)
@@ -57,7 +78,12 @@ class MatrixArbiter
     }
 
     /** Does i currently outrank j? (i != j) */
-    bool outranks(std::uint32_t i, std::uint32_t j) const;
+    bool
+    outranks(std::uint32_t i, std::uint32_t j) const
+    {
+        sim_assert(i < n_ && j < n_ && i != j, "bad pair %u,%u", i, j);
+        return stamp_[i] < stamp_[j];
+    }
 
     /** Full priority order, highest first (for tests/debug). */
     std::vector<std::uint32_t> order() const;

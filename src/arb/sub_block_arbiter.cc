@@ -1,37 +1,32 @@
 #include "arb/sub_block_arbiter.hh"
 
-#include "common/simd.hh"
-
 namespace hirise::arb {
 
-namespace {
-
-void
-validMask(const std::vector<SubBlockRequest> &reqs, BitVec &mask)
+std::uint32_t
+SubBlockArbiter::arbitrate(const std::vector<SubBlockRequest> &reqs)
 {
-    mask.clear();
+    valid_.clear();
     for (std::size_t i = 0; i < reqs.size(); ++i)
         if (reqs[i].valid)
-            mask.set(static_cast<std::uint32_t>(i));
+            valid_.push_back(static_cast<std::uint32_t>(i));
+    return arbitrateFilled(reqs, valid_);
 }
 
-} // namespace
-
 std::uint32_t
-LrgSubArbiter::arbitrate(const std::vector<SubBlockRequest> &reqs)
+LrgSubArbiter::arbitrateFilled(const std::vector<SubBlockRequest> &,
+                               std::span<const std::uint32_t> filled)
 {
-    validMask(reqs, mask_);
-    std::uint32_t w = lrg_.pick(mask_);
+    std::uint32_t w = lrg_.pick(filled);
     if (w != kNone)
         lrg_.update(w);
     return w;
 }
 
 std::uint32_t
-WlrgSubArbiter::arbitrate(const std::vector<SubBlockRequest> &reqs)
+WlrgSubArbiter::arbitrateFilled(const std::vector<SubBlockRequest> &reqs,
+                                std::span<const std::uint32_t> filled)
 {
-    validMask(reqs, mask_);
-    std::uint32_t w = lrg_.pick(mask_);
+    std::uint32_t w = lrg_.pick(filled);
     if (w == kNone)
         return w;
     // Freeze the LRG demotion until this port has won once per
@@ -46,27 +41,25 @@ WlrgSubArbiter::arbitrate(const std::vector<SubBlockRequest> &reqs)
 }
 
 std::uint32_t
-ClrgSubArbiter::arbitrate(const std::vector<SubBlockRequest> &reqs)
+ClrgSubArbiter::arbitrateFilled(const std::vector<SubBlockRequest> &reqs,
+                                std::span<const std::uint32_t> filled)
 {
-    // Flatten each port's class into cls_ (idle ports carry
-    // kInvalidClass), then coarse priority — lowest class among
-    // contenders — is a SIMD min-reduction.
-    const std::size_t n = reqs.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        cls_[i] = reqs[i].valid
-                      ? counters_.classOf(reqs[i].primaryInput)
-                      : kInvalidClass;
+    // The priority-select muxes inhibit every request outside the
+    // lowest (best) class among the contenders; LRG breaks ties within
+    // it (Fig 7). One pass keeps the (class, LRG rank) minimum. Real
+    // classes are bounded by maxCount, so the first port always beats
+    // the ~0u start and outranks() never sees kNone.
+    std::uint32_t w = kNone;
+    std::uint32_t best_class = ~0u;
+    for (std::uint32_t p : filled) {
+        const std::uint32_t c = counters_.classOf(reqs[p].primaryInput);
+        if (c < best_class || (c == best_class && lrg_.outranks(p, w))) {
+            w = p;
+            best_class = c;
+        }
     }
-    const std::uint32_t best_class = simd::minU32(cls_.data(), n);
-    if (best_class == kInvalidClass)
+    if (w == kNone)
         return kNone;
-
-    // The priority-select muxes inhibit every request outside the best
-    // class; LRG breaks ties within it (Fig 7). eqBitsU32 writes the
-    // mask's words wholesale (exactly ceil(n/64) of them).
-    simd::eqBitsU32(cls_.data(), n, best_class, mask_.words());
-    std::uint32_t w = lrg_.pick(mask_);
-    sim_assert(w != kNone, "class mask had a requestor");
     // LRG is updated even on class-decided cycles (paper III-B4).
     lrg_.update(w);
     counters_.onWin(reqs[w].primaryInput);
@@ -86,7 +79,11 @@ makeSubBlockArbiter(ArbScheme scheme, std::uint32_t num_ports,
         return std::make_unique<ClrgSubArbiter>(num_ports, num_inputs,
                                                 max_count);
       case ArbScheme::Lrg:
-        // A flat switch has no sub-blocks; callers use MatrixArbiter.
+      case ArbScheme::Islip:
+      case ArbScheme::Pim:
+      case ArbScheme::Wavefront:
+        // Flat-only schemes: a flat switch has no sub-blocks; callers
+        // use MatrixArbiter or a CrossbarScheduler.
         break;
     }
     panic("no sub-block arbiter for scheme %s", toString(scheme));

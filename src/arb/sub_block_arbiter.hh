@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arb/class_counter.hh"
@@ -31,7 +32,7 @@ struct SubBlockRequest
 
 /**
  * Abstract sub-block arbiter. The sub-block is the final arbitration
- * stage, so its winner always owns the output: arbitrate() both picks
+ * stage, so its winner always owns the output: arbitration both picks
  * and commits priority-state updates.
  */
 class SubBlockArbiter
@@ -39,16 +40,34 @@ class SubBlockArbiter
   public:
     static constexpr std::uint32_t kNone = MatrixArbiter::kNone;
 
+    explicit SubBlockArbiter(std::uint32_t num_ports)
+    {
+        valid_.reserve(num_ports);
+    }
     virtual ~SubBlockArbiter() = default;
 
-    /** Winner port index, or kNone if nothing valid requested. */
+    /** Winner port index, or kNone if nothing valid requested. Lists
+     *  the valid ports and calls arbitrateFilled (tests, RTL model). */
+    std::uint32_t arbitrate(const std::vector<SubBlockRequest> &reqs);
+
+    /**
+     * Winner among the ports listed in @p filled, or kNone when the
+     * list is empty. Every listed port is valid in @p reqs, no port is
+     * listed twice, and list order does not matter; ports not listed
+     * are ignored. Costs O(|filled|), not O(reqs.size()): the fabric's
+     * phase 2 passes the ports it filled this cycle.
+     */
     virtual std::uint32_t
-    arbitrate(const std::vector<SubBlockRequest> &reqs) = 0;
+    arbitrateFilled(const std::vector<SubBlockRequest> &reqs,
+                    std::span<const std::uint32_t> filled) = 0;
 
     /** Checkpoint the priority state (common/snapshot.hh contract:
      *  load() runs on a same-configuration fresh instance). */
     virtual void save(snap::Writer &w) const = 0;
     virtual void load(snap::Reader &r) = 0;
+
+  private:
+    std::vector<std::uint32_t> valid_; //!< arbitrate() scratch
 };
 
 /** Baseline layer-to-layer LRG: plain matrix LRG over ports. */
@@ -56,18 +75,18 @@ class LrgSubArbiter : public SubBlockArbiter
 {
   public:
     explicit LrgSubArbiter(std::uint32_t num_ports)
-        : lrg_(num_ports), mask_(num_ports)
+        : SubBlockArbiter(num_ports), lrg_(num_ports)
     {}
 
     std::uint32_t
-    arbitrate(const std::vector<SubBlockRequest> &reqs) override;
+    arbitrateFilled(const std::vector<SubBlockRequest> &reqs,
+                    std::span<const std::uint32_t> filled) override;
 
     void save(snap::Writer &w) const override { lrg_.save(w); }
     void load(snap::Reader &r) override { lrg_.load(r); }
 
   private:
     MatrixArbiter lrg_;
-    BitVec mask_; //!< per-cycle scratch, preallocated
 };
 
 /**
@@ -79,11 +98,12 @@ class WlrgSubArbiter : public SubBlockArbiter
 {
   public:
     explicit WlrgSubArbiter(std::uint32_t num_ports)
-        : lrg_(num_ports), wins_(num_ports, 0), mask_(num_ports)
+        : SubBlockArbiter(num_ports), lrg_(num_ports), wins_(num_ports, 0)
     {}
 
     std::uint32_t
-    arbitrate(const std::vector<SubBlockRequest> &reqs) override;
+    arbitrateFilled(const std::vector<SubBlockRequest> &reqs,
+                    std::span<const std::uint32_t> filled) override;
 
     void
     save(snap::Writer &w) const override
@@ -101,7 +121,6 @@ class WlrgSubArbiter : public SubBlockArbiter
   private:
     MatrixArbiter lrg_;
     std::vector<std::uint32_t> wins_;
-    BitVec mask_; //!< per-cycle scratch, preallocated
 };
 
 /**
@@ -114,12 +133,13 @@ class ClrgSubArbiter : public SubBlockArbiter
   public:
     ClrgSubArbiter(std::uint32_t num_ports, std::uint32_t num_inputs,
                    std::uint32_t max_count)
-        : lrg_(num_ports), counters_(num_inputs, max_count),
-          mask_(num_ports), cls_(num_ports, kInvalidClass)
+        : SubBlockArbiter(num_ports), lrg_(num_ports),
+          counters_(num_inputs, max_count)
     {}
 
     std::uint32_t
-    arbitrate(const std::vector<SubBlockRequest> &reqs) override;
+    arbitrateFilled(const std::vector<SubBlockRequest> &reqs,
+                    std::span<const std::uint32_t> filled) override;
 
     const ClassCounterBank &counters() const { return counters_; }
 
@@ -137,18 +157,8 @@ class ClrgSubArbiter : public SubBlockArbiter
     }
 
   private:
-    /** Idle-port marker in cls_; equals simd::minU32's identity so a
-     *  best class of kInvalidClass means "no valid request". Real
-     *  classes are bounded by maxCount and can never collide. */
-    static constexpr std::uint32_t kInvalidClass = ~0u;
-
     MatrixArbiter lrg_;
     ClassCounterBank counters_;
-    BitVec mask_; //!< per-cycle scratch, preallocated
-    /** Per-port class of the current request vector (kInvalidClass
-     *  for idle ports), flat so the best-class reduction and the
-     *  class-match mask build run as SIMD sweeps. */
-    std::vector<std::uint32_t> cls_;
 };
 
 /** Factory keyed on the spec's arbitration scheme. */

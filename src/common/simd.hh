@@ -1,8 +1,7 @@
 /**
  * @file
- * Lane kernels for the arbitration and simulation hot paths: the
- * u32/u64 lane loops of the two-phase arbitration (fabric/hirise.cc,
- * arb/sub_block_arbiter.cc, arb/class_counter.hh).
+ * Lane kernels for the arbitration hot paths: the u32 lane loops of
+ * the two-phase arbitration (fabric/hirise.cc, arb/class_counter.hh).
  *
  * Every kernel is one plain scalar loop; there is no ISA dispatch.
  * Hand-written AVX2 and AVX-512 bodies did not win end to end
@@ -59,49 +58,12 @@ gatherNonSentinelU32(const std::uint32_t *v, std::uint32_t n,
     return c;
 }
 
-/** Minimum of v[0..n); ~0u when n == 0. CLRG best-class reduction. */
-inline std::uint32_t
-minU32(const std::uint32_t *v, std::size_t n)
-{
-    std::uint32_t best = ~0u;
-    for (std::size_t i = 0; i < n; ++i)
-        best = v[i] < best ? v[i] : best;
-    return best;
-}
-
-/** Bitmask of positions with v[i] == value, written to
- *  ceil(n/64) words of @p out (tail bits zero). CLRG class-equality
- *  mask over BitVec word storage. */
-inline void
-eqBitsU32(const std::uint32_t *v, std::size_t n, std::uint32_t value,
-          Word *out)
-{
-    for (std::size_t w = 0; w < (n + 63) / 64; ++w)
-        out[w] = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (v[i] == value)
-            out[i / 64] |= Word(1) << (i % 64);
-    }
-}
-
 /** v[i] >>= 1 for all i: the CLRG bank-wide halve-on-saturation. */
 inline void
 halveU32(std::uint32_t *v, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         v[i] >>= 1;
-}
-
-/** acc[i] += scale where flags[i] != 0: the per-channel busy-cycle
- *  accumulation of HiRiseFabric's arbitration and idle accounting. */
-inline void
-accumulateFlagsU64(std::uint64_t *acc, const std::uint8_t *flags,
-                   std::size_t n, std::uint64_t scale)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        if (flags[i])
-            acc[i] += scale;
-    }
 }
 
 } // namespace hirise::simd

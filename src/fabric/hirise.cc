@@ -1,5 +1,7 @@
 #include "fabric/hirise.hh"
 
+#include <algorithm>
+
 #include "common/simd.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -56,6 +58,13 @@ recordArbitrateObs(const BitVec &grant,
     });
 }
 
+bool
+anySet(const std::vector<std::uint8_t> &flags)
+{
+    return std::any_of(flags.begin(), flags.end(),
+                       [](std::uint8_t f) { return f != 0; });
+}
+
 } // namespace
 
 HiRiseFabric::HiRiseFabric(const SwitchSpec &spec)
@@ -64,9 +73,28 @@ HiRiseFabric::HiRiseFabric(const SwitchSpec &spec)
       holder_(spec.radix, kNoRequest),
       heldChan_(spec.radix, kNoRequest),
       chanBusy_(std::size_t(nlay_) * nlay_ * chan_, 0),
-      chanFailed_(chanBusy_.size(), 0)
+      chanFailed_(chanBusy_.size(), 0), busySince_(chanBusy_.size(), 0)
 {
     sim_assert(spec.topo == Topology::HiRise, "wrong topology");
+
+    port_.resize(spec.radix);
+    for (std::uint32_t p = 0; p < spec.radix; ++p)
+        port_[p] = {p / ppl_, p % ppl_, (p % ppl_) % chan_};
+    chanInfo_.resize(chanBusy_.size());
+    subPortChan_.assign(std::size_t(nlay_) * ports_, kNoRequest);
+    for (std::uint32_t s = 0; s < nlay_; ++s) {
+        for (std::uint32_t d = 0; d < nlay_; ++d) {
+            for (std::uint32_t k = 0; k < chan_; ++k) {
+                const std::uint32_t id = chanId(s, d, k);
+                const std::uint32_t s_rank = s < d ? s : s - 1;
+                const std::uint32_t port =
+                    s == d ? kNoRequest : s_rank * chan_ + k;
+                chanInfo_[id] = {s * ppl_, port};
+                if (s != d)
+                    subPortChan_[d * ports_ + port] = id;
+            }
+        }
+    }
 
     interArb_.assign(spec.radix, arb::MatrixArbiter(ppl_));
     chanArb_.assign(std::size_t(nlay_) * nlay_ * chan_,
@@ -103,33 +131,46 @@ HiRiseFabric::channelUtilization(std::uint32_t s, std::uint32_t d,
 {
     if (arbitrateCalls_ == 0)
         return 0.0;
-    return static_cast<double>(stats_.chanBusyCycles[chanId(s, d, k)]) /
+    return static_cast<double>(busyCycles(chanId(s, d, k))) /
            static_cast<double>(arbitrateCalls_);
+}
+
+HiRiseFabric::Stats
+HiRiseFabric::stats() const
+{
+    Stats st = stats_;
+    for (std::uint32_t id = 0; id < chanBusy_.size(); ++id)
+        st.chanBusyCycles[id] = busyCycles(id);
+    return st;
 }
 
 std::uint32_t
 HiRiseFabric::channelFor(std::uint32_t input, std::uint32_t output) const
 {
-    std::uint32_t k0;
+    std::uint32_t k = 0;
     switch (spec_.alloc) {
       case ChannelAlloc::InputBinned:
-        k0 = localIdx(input) % chan_;
+        k = port_[input].bin;
         break;
       case ChannelAlloc::OutputBinned:
-        k0 = localIdx(output) % chan_;
+        k = port_[output].bin;
         break;
       case ChannelAlloc::Priority:
         return kNoRequest; // chosen dynamically in phase 1
       default:
         return kNoRequest;
     }
+    if (!anyFailed_)
+        return k;
     // Remap around failed channels: probe the bin's channel first,
     // then the next surviving channel of the same layer pair.
-    std::uint32_t s = layerOf(input), d = layerOf(output);
+    const std::uint32_t base =
+        chanId(port_[input].layer, port_[output].layer, 0);
     for (std::uint32_t i = 0; i < chan_; ++i) {
-        std::uint32_t k = (k0 + i) % chan_;
-        if (!chanFailed_[chanId(s, d, k)])
+        if (!chanFailed_[base + k])
             return k;
+        if (++k == chan_)
+            k = 0;
     }
     return kNoRequest;
 }
@@ -146,6 +187,7 @@ HiRiseFabric::failChannel(std::uint32_t src_layer,
     if (chanFailed_[id])
         return;
     chanFailed_[id] = 1;
+    anyFailed_ = true;
     if (chanBusy_[id]) {
         // The channel is pinned by an in-flight connection: break it.
         // A destination layer has ppl_ final outputs; only those can
@@ -164,7 +206,7 @@ HiRiseFabric::failChannel(std::uint32_t src_layer,
         }
         sim_assert(victim != kNoRequest,
                    "busy channel %u pinned by no output", id);
-        chanBusy_[id] = 0;
+        closeBusySpan(id);
     }
     if (obs::on()) [[unlikely]]
         obs::MetricsRegistry::global()
@@ -183,6 +225,7 @@ HiRiseFabric::recoverChannel(std::uint32_t src_layer,
     if (!chanFailed_[id])
         return;
     chanFailed_[id] = 0;
+    anyFailed_ = anySet(chanFailed_);
     if (obs::on()) [[unlikely]]
         obs::MetricsRegistry::global()
             .gauge("fabric.advertised_capacity")
@@ -221,25 +264,6 @@ HiRiseFabric::channelBusy(std::uint32_t s, std::uint32_t d,
     return chanBusy_[chanId(s, d, k)] != 0;
 }
 
-std::uint32_t
-HiRiseFabric::subPort(std::uint32_t d, std::uint32_t s,
-                      std::uint32_t k) const
-{
-    // Source layers in increasing order, skipping the local layer.
-    std::uint32_t s_rank = s < d ? s : s - 1;
-    return s_rank * chan_ + k;
-}
-
-void
-HiRiseFabric::subPortOrigin(std::uint32_t d, std::uint32_t port,
-                            std::uint32_t &s, std::uint32_t &k) const
-{
-    sim_assert(port + 1 < ports_, "local port has no L2LC origin");
-    std::uint32_t s_rank = port / chan_;
-    k = port % chan_;
-    s = s_rank < d ? s_rank : s_rank + 1;
-}
-
 void
 HiRiseFabric::resetScratch()
 {
@@ -270,15 +294,16 @@ inline void
 HiRiseFabric::collectRequest(std::uint32_t i, std::uint32_t o)
 {
     sim_assert(o < spec_.radix, "request to bad output %u", o);
-    std::uint32_t s = layerOf(i);
-    std::uint32_t d = layerOf(o);
+    const std::uint32_t s = port_[i].layer;
+    const std::uint32_t d = port_[o].layer;
+    const std::uint32_t li = port_[i].local;
 
     if (d == s) {
         // Same-layer: contend for the dedicated intermediate
         // output column. The column is in use iff the output is
         // held through it.
         if (holder_[o] != kNoRequest && heldChan_[o] == kNoRequest &&
-            layerOf(holder_[o]) == d)
+            port_[holder_[o]].layer == d)
             return;
         auto &col = interCol_[o];
         if (!col.active) {
@@ -286,7 +311,7 @@ HiRiseFabric::collectRequest(std::uint32_t i, std::uint32_t o)
             col.mask.clear();
             activeInter_.push_back(o);
         }
-        col.mask.set(localIdx(i));
+        col.mask.set(li);
         ++col.weight;
         return;
     }
@@ -294,18 +319,18 @@ HiRiseFabric::collectRequest(std::uint32_t i, std::uint32_t o)
     if (spec_.alloc == ChannelAlloc::Priority) {
         // Pool request: mark interest on every channel (s,d,*);
         // phase1 serializes the choice across free channels.
-        for (std::uint32_t k = 0; k < chan_; ++k) {
-            std::uint32_t id = chanId(s, d, k);
+        const std::uint32_t base = chanId(s, d, 0);
+        for (std::uint32_t id = base; id < base + chan_; ++id) {
             auto &col = chanCol_[id];
             if (!col.active) {
                 col.active = true;
                 col.mask.clear();
                 activeChan_.push_back(id);
             }
-            col.mask.set(localIdx(i));
+            col.mask.set(li);
         }
         // weight counted once per input on channel 0's column
-        ++chanCol_[chanId(s, d, 0)].weight;
+        ++chanCol_[base].weight;
         return;
     }
 
@@ -321,7 +346,7 @@ HiRiseFabric::collectRequest(std::uint32_t i, std::uint32_t o)
         col.mask.clear();
         activeChan_.push_back(id);
     }
-    col.mask.set(localIdx(i));
+    col.mask.set(li);
     ++col.weight;
 }
 
@@ -403,23 +428,22 @@ HiRiseFabric::phase2()
         outChanHead_[o] = kNoRequest;
         if (holder_[o] != kNoRequest)
             return;
-        std::uint32_t d = layerOf(o);
+        const std::uint32_t d = port_[o].layer;
         filledPorts_.clear();
 
         // Incoming L2LC ports: walk exactly this cycle's winning
         // channels targeting o (the chain finishArbitrate threaded)
         // instead of scanning every (layer, channel) column. reqs is
-        // indexed by subPort, so chain order is immaterial to the
-        // sub-block arbitration.
+        // indexed by sub-block port, so chain order is immaterial to
+        // the sub-block arbitration.
         for (std::uint32_t id = chain; id != kNoRequest;
              id = chanNext_[id]) {
             const auto &col = chanCol_[id];
-            std::uint32_t s = id / (nlay_ * chan_);
-            std::uint32_t k = id % chan_;
-            std::uint32_t port = subPort(d, s, k);
+            const auto &ci = chanInfo_[id];
+            const std::uint32_t port = ci.subPort;
             auto &r = reqs[port];
             r.valid = true;
-            r.primaryInput = s * ppl_ + col.winner;
+            r.primaryInput = ci.srcBase + col.winner;
             r.weight = std::max(1u, col.weight);
             filledPorts_.push_back(port);
         }
@@ -435,7 +459,8 @@ HiRiseFabric::phase2()
         if (filledPorts_.empty())
             return;
 
-        std::uint32_t p = subArb_[o]->arbitrate(reqs);
+        // The sub-block visits only the filled ports.
+        std::uint32_t p = subArb_[o]->arbitrateFilled(reqs, filledPorts_);
         sim_assert(p != arb::SubBlockArbiter::kNone,
                    "sub-block with valid requests granted nothing");
 
@@ -447,15 +472,14 @@ HiRiseFabric::phase2()
             // Local path: back-propagate the LRG update to the
             // intermediate-output column.
             heldChan_[o] = kNoRequest;
-            interArb_[o].update(localIdx(winner_in));
+            interArb_[o].update(port_[winner_in].local);
             ++stats_.grantsLocal;
         } else {
-            std::uint32_t s, k;
-            subPortOrigin(d, p, s, k);
-            std::uint32_t id = chanId(s, d, k);
+            const std::uint32_t id = subPortChan_[d * ports_ + p];
             heldChan_[o] = id;
             chanBusy_[id] = 1;
-            chanArb_[id].update(localIdx(winner_in));
+            busySince_[id] = arbitrateCalls_;
+            chanArb_[id].update(port_[winner_in].local);
             ++stats_.grantsCross;
             ++stats_.chanGrants[id];
         }
@@ -467,15 +491,14 @@ HiRiseFabric::phase2()
 }
 
 // Per-call prologue shared by both arbitrate entry points: clear the
-// grant scratch, keep the stats denominators dense-identical, and
-// lazily reset last cycle's touched columns.
+// grant scratch, count the call (the utilization denominator and the
+// clock that busy channels' open spans read), and lazily reset last
+// cycle's touched columns.
 void
 HiRiseFabric::beginArbitrate()
 {
     grant_.clear();
     ++arbitrateCalls_;
-    simd::accumulateFlagsU64(stats_.chanBusyCycles.data(),
-                             chanBusy_.data(), chanBusy_.size(), 1);
     resetScratch();
 }
 
@@ -518,8 +541,7 @@ HiRiseFabric::finishArbitrate(std::span<const std::uint32_t> req)
         auto &col = chanCol_[id];
         if (col.winner == arb::MatrixArbiter::kNone)
             continue;
-        std::uint32_t s = id / (nlay_ * chan_);
-        std::uint32_t in = s * ppl_ + col.winner;
+        const std::uint32_t in = chanInfo_[id].srcBase + col.winner;
         col.winnerDst = req[in];
         contendedOut_.set(col.winnerDst);
         chanNext_[id] = outChanHead_[col.winnerDst];
@@ -584,10 +606,17 @@ HiRiseFabric::checkInvariants(std::span<const std::uint32_t> req) const
                    id, holder_[o], o);
     }
     for (std::uint32_t id = 0; id < chanBusy_.size(); ++id) {
-        if (chanBusy_[id])
-            sim_assert(pinned[id] != kNoRequest,
-                       "busy channel %u pinned by no connection", id);
+        if (!chanBusy_[id])
+            continue;
+        sim_assert(pinned[id] != kNoRequest,
+                   "busy channel %u pinned by no connection", id);
+        sim_assert(busySince_[id] <= arbitrateCalls_,
+                   "busy channel %u stamped %llu after call %llu", id,
+                   static_cast<unsigned long long>(busySince_[id]),
+                   static_cast<unsigned long long>(arbitrateCalls_));
     }
+    sim_assert(anyFailed_ == anySet(chanFailed_),
+               "anyFailed flag out of step with the channel flags");
 
     // CLRG class counters must stay thermometer-encodable.
     if (spec_.arb == ArbScheme::Clrg) {
@@ -604,15 +633,12 @@ HiRiseFabric::checkInvariants(std::span<const std::uint32_t> req) const
 void
 HiRiseFabric::advanceIdle(std::uint64_t cycles)
 {
-    // Mirror the per-call stats prologue of arbitrate() for cycles in
-    // which the simulator had no requests to submit, so utilization
+    // Count the request-free cycles as calls, so utilization
     // denominators and busy-cycle counts are independent of stepping
     // mode. Channels stay busy across request-free cycles while their
-    // connection is still transferring.
+    // connection is still transferring; their open spans read the
+    // advanced count.
     arbitrateCalls_ += cycles;
-    simd::accumulateFlagsU64(stats_.chanBusyCycles.data(),
-                             chanBusy_.data(), chanBusy_.size(),
-                             cycles);
 }
 
 void
@@ -622,9 +648,16 @@ HiRiseFabric::release(std::uint32_t input, std::uint32_t output)
                "release of unheld connection %u->%u", input, output);
     holder_[output] = kNoRequest;
     if (heldChan_[output] != kNoRequest) {
-        chanBusy_[heldChan_[output]] = 0;
+        closeBusySpan(heldChan_[output]);
         heldChan_[output] = kNoRequest;
     }
+}
+
+void
+HiRiseFabric::closeBusySpan(std::uint32_t id)
+{
+    stats_.chanBusyCycles[id] += arbitrateCalls_ - busySince_[id];
+    chanBusy_[id] = 0;
 }
 
 bool
@@ -655,7 +688,7 @@ HiRiseFabric::save(snap::Writer &w) const
     w.u64(stats_.grantsLocal);
     w.u64(stats_.grantsCross);
     w.vec(stats_.chanGrants);
-    w.vec(stats_.chanBusyCycles);
+    w.vec(stats().chanBusyCycles); // open spans counted in
     w.u64(arbitrateCalls_);
     // Per-cycle scratch (columns, chains, grant_) is rebuilt from
     // scratch each arbitrate() call and needs no saving: resetScratch
@@ -680,6 +713,10 @@ HiRiseFabric::load(snap::Reader &r)
     r.vec(stats_.chanGrants);
     r.vec(stats_.chanBusyCycles);
     arbitrateCalls_ = r.u64();
+    // The snapshot's counts include every open span, so the spans
+    // restart at the restored call count.
+    busySince_.assign(chanBusy_.size(), arbitrateCalls_);
+    anyFailed_ = anySet(chanFailed_);
 }
 
 } // namespace hirise::fabric

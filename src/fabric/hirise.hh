@@ -40,11 +40,11 @@ class HiRiseFabric : public Fabric
     // -- topology helpers (also used by tests) -----------------------
     std::uint32_t layerOf(std::uint32_t port) const
     {
-        return port / ppl_;
+        return port_[port].layer;
     }
     std::uint32_t localIdx(std::uint32_t port) const
     {
-        return port % ppl_;
+        return port_[port].local;
     }
 
     /** L2LC chosen by the allocation policy for input -> output,
@@ -116,10 +116,13 @@ class HiRiseFabric : public Fabric
         /** Grants carried per L2LC, indexed by chanId order
          *  (src_layer * layers + dst_layer) * channels + k. */
         std::vector<std::uint64_t> chanGrants;
-        /** Cycles each L2LC spent held by a connection. */
+        /** Cycles each L2LC spent held by a connection: one per
+         *  arbitrate call or idle cycle after the grant call, up to
+         *  the release or the fault that broke the connection. */
         std::vector<std::uint64_t> chanBusyCycles;
     };
-    const Stats &stats() const { return stats_; }
+    /** A copy with every held channel's open span counted in. */
+    Stats stats() const;
 
     /** Utilization of L2LC (s,d,k): busy cycles / arbitrate calls. */
     double channelUtilization(std::uint32_t s, std::uint32_t d,
@@ -138,13 +141,28 @@ class HiRiseFabric : public Fabric
         return (s * nlay_ + d) * chan_ + k;
     }
 
-    /** Sub-block port index of the L2LC from layer s, channel k, at
-     *  destination layer d; the last port is the local intermediate. */
-    std::uint32_t subPort(std::uint32_t d, std::uint32_t s,
-                          std::uint32_t k) const;
-    /** Inverse of subPort for ports below ports_-1. */
-    void subPortOrigin(std::uint32_t d, std::uint32_t port,
-                       std::uint32_t &s, std::uint32_t &k) const;
+    // -- shape tables, built once so the per-request paths divide by
+    //    nothing -------------------------------------------------------
+    struct PortInfo
+    {
+        std::uint32_t layer; //!< port / ppl_
+        std::uint32_t local; //!< port % ppl_
+        std::uint32_t bin;   //!< binned channel: local % chan_
+    };
+    std::vector<PortInfo> port_; //!< per global port
+    struct ChanInfo
+    {
+        std::uint32_t srcBase; //!< first global port of the src layer
+        /** Sub-block port of this L2LC at its destination: source
+         *  layers ascending, the local layer skipped, c ports each;
+         *  the last sub-block port (ports_-1) is the local
+         *  intermediate output. Unused on the s == d diagonal. */
+        std::uint32_t subPort;
+    };
+    std::vector<ChanInfo> chanInfo_; //!< per chanId
+    /** Inverse of ChanInfo::subPort: chanId of (dst layer d, sub-block
+     *  port p) at d * ports_ + p, for p below ports_-1. */
+    std::vector<std::uint32_t> subPortChan_;
 
     // -- arbitration state --------------------------------------------
     /** Phase-1 LRG per local intermediate-output column, indexed by
@@ -158,11 +176,19 @@ class HiRiseFabric : public Fabric
     // -- connection state ----------------------------------------------
     std::vector<std::uint32_t> holder_;   //!< per output
     std::vector<std::uint32_t> heldChan_; //!< per output; kNoRequest
-    /** Busy/failed flags per chanId, 0/1 in flat byte arrays (not
-     *  vector<bool>) so the per-call busy-cycle accumulation runs
-     *  through simd::accumulateFlagsU64. */
+    /** Busy/failed flags per chanId, 0/1 in flat byte arrays (the
+     *  snapshot's layout). */
     std::vector<std::uint8_t> chanBusy_;
     std::vector<std::uint8_t> chanFailed_;
+    /** Some chanFailed_ entry is set: channelFor's remap probe runs
+     *  only then. */
+    bool anyFailed_ = false;
+    /** Lazy busy-cycle accounting: a busy channel's count is
+     *  stats_.chanBusyCycles[id] + (arbitrateCalls_ - busySince_[id]),
+     *  the stamp being arbitrateCalls_ at the grant call. Release and
+     *  a fault's forced break close the span into stats_, so neither
+     *  an arbitrate call nor advanceIdle touches a channel. */
+    std::vector<std::uint64_t> busySince_;
 
     // -- per-cycle scratch (members to avoid reallocation) -------------
     struct ColumnState
@@ -200,6 +226,14 @@ class HiRiseFabric : public Fabric
     std::vector<std::uint32_t> filledPorts_;
 
     void resetScratch();
+    /** Busy cycles of chanId @p id, the open span included. */
+    std::uint64_t busyCycles(std::uint32_t id) const
+    {
+        return stats_.chanBusyCycles[id] +
+               (chanBusy_[id] ? arbitrateCalls_ - busySince_[id] : 0);
+    }
+    /** Free busy channel @p id, closing its span into stats_. */
+    void closeBusySpan(std::uint32_t id);
     void beginArbitrate();
     void collectRequest(std::uint32_t i, std::uint32_t o);
     void collectRequests(std::span<const std::uint32_t> req);
@@ -210,6 +244,7 @@ class HiRiseFabric : public Fabric
     void checkInvariants(std::span<const std::uint32_t> req) const;
 #endif
 
+    /** chanBusyCycles here holds closed spans only; see busySince_. */
     Stats stats_;
     std::uint64_t arbitrateCalls_ = 0;
 };

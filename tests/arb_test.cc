@@ -500,6 +500,57 @@ TEST(SubBlockArb, FactoryMakesMatchingSchemes)
               nullptr);
 }
 
+TEST(SubBlockArb, FilledListEntryMatchesDenseArbitrate)
+{
+    // Twin instances of each scheme: one arbitrates the dense request
+    // vector, the other only the valid ports, listed in shuffled
+    // order. Request sets include empty and all-valid ones and random
+    // WLRG weights; winners and saved state must agree after every
+    // call.
+    const ArbScheme schemes[] = {ArbScheme::LayerLrg, ArbScheme::Wlrg,
+                                 ArbScheme::Clrg};
+    Rng rng(41);
+    for (std::uint32_t ports : {1u, 4u, 7u, 13u, 64u, 65u}) {
+        for (ArbScheme scheme : schemes) {
+            SCOPED_TRACE(std::string(toString(scheme)) + " ports " +
+                         std::to_string(ports));
+            auto dense = makeSubBlockArbiter(scheme, ports, 32, 2);
+            auto sparse = makeSubBlockArbiter(scheme, ports, 32, 2);
+            std::vector<SubBlockRequest> reqs(ports);
+            std::vector<std::uint32_t> filled;
+            for (int t = 0; t < 1500; ++t) {
+                const double density =
+                    t % 50 == 0    ? 0.0
+                    : t % 50 == 25 ? 1.0
+                                   : 0.1 + 0.2 * double(rng.below(4));
+                filled.clear();
+                for (std::uint32_t p = 0; p < ports; ++p) {
+                    reqs[p].valid = rng.bernoulli(density);
+                    reqs[p].primaryInput =
+                        static_cast<std::uint32_t>(rng.below(32));
+                    reqs[p].weight =
+                        1 + static_cast<std::uint32_t>(rng.below(5));
+                    if (reqs[p].valid)
+                        filled.push_back(p);
+                }
+                for (std::size_t j = filled.size(); j > 1; --j)
+                    std::swap(filled[j - 1], filled[rng.below(j)]);
+
+                const std::uint32_t want = dense->arbitrate(reqs);
+                ASSERT_EQ(sparse->arbitrateFilled(reqs, filled), want)
+                    << "call " << t;
+                if (filled.empty()) {
+                    ASSERT_EQ(want, SubBlockArbiter::kNone);
+                }
+                snap::Writer wd, ws;
+                dense->save(wd);
+                sparse->save(ws);
+                ASSERT_EQ(wd.buffer(), ws.buffer()) << "call " << t;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // CrossbarScheduler strategies (iSLIP / PIM / wavefront)
 // ---------------------------------------------------------------------

@@ -243,52 +243,6 @@ TEST(Simd, GatherNonSentinelMatchesScalarScanOnEveryTier)
     }
 }
 
-TEST(Simd, MinU32MatchesScalarReductionOnEveryTier)
-{
-    Rng rng(4);
-    for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 65u}) {
-        for (int trial = 0; trial < 20; ++trial) {
-            std::vector<std::uint32_t> v(n);
-            std::uint32_t want = ~0u;
-            for (auto &x : v) {
-                x = static_cast<std::uint32_t>(rng.next());
-                want = std::min(want, x);
-            }
-            EXPECT_EQ(simd::minU32(v.data(), n), want) << "n=" << n;
-        }
-    }
-}
-
-TEST(Simd, EqBitsU32MatchesScalarMaskBuildOnEveryTier)
-{
-    // Lengths cover odd tails and word-boundary straddles at 64; the
-    // kernel owns all ceil(n/64) output words, so stale set bits must
-    // be erased.
-    Rng rng(5);
-    for (std::size_t n :
-         {1u, 7u, 8u, 9u, 16u, 17u, 63u, 64u, 65u, 130u}) {
-        for (int trial = 0; trial < 20; ++trial) {
-            std::vector<std::uint32_t> v(n);
-            for (auto &x : v)
-                x = static_cast<std::uint32_t>(rng.below(4));
-            const std::uint32_t value =
-                static_cast<std::uint32_t>(rng.below(4));
-            const std::size_t nwords = (n + 63) / 64;
-            std::vector<simd::Word> got(nwords, ~simd::Word(0));
-            simd::eqBitsU32(v.data(), n, value, got.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                bool bit = (got[i / 64] >> (i % 64)) & 1u;
-                EXPECT_EQ(bit, v[i] == value) << "n=" << n << " i=" << i;
-            }
-            // Tail bits beyond n stay clear.
-            if (n % 64) {
-                EXPECT_EQ(got[nwords - 1] >> (n % 64), simd::Word(0))
-                    << "n=" << n;
-            }
-        }
-    }
-}
-
 TEST(Simd, HalveU32MatchesScalarShiftOnEveryTier)
 {
     Rng rng(6);
@@ -303,22 +257,3 @@ TEST(Simd, HalveU32MatchesScalarShiftOnEveryTier)
     }
 }
 
-TEST(Simd, AccumulateFlagsMatchesScalarLoopOnEveryTier)
-{
-    Rng rng(7);
-    for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 31u, 64u}) {
-        for (std::uint64_t scale : {1ull, 7ull, 1ull << 40}) {
-            std::vector<std::uint8_t> flags(n);
-            std::vector<std::uint64_t> acc0(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                flags[i] = rng.bernoulli(0.5) ? 1 : 0;
-                acc0[i] = rng.next();
-            }
-            auto acc = acc0;
-            simd::accumulateFlagsU64(acc.data(), flags.data(), n, scale);
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(acc[i], acc0[i] + (flags[i] ? scale : 0))
-                    << "n=" << n << " i=" << i << " scale=" << scale;
-        }
-    }
-}

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 
 #include "common/random.hh"
+#include "common/snapshot.hh"
 #include "fabric/fabric.hh"
 #include "fabric/flat2d.hh"
 #include "fabric/hirise.hh"
@@ -392,6 +394,149 @@ TEST(HiRise, ChannelUtilizationTracksHeldCycles)
     // not the one after release).
     EXPECT_NEAR(f.channelUtilization(1, 3, 0), 9.0 / 11.0, 1e-9);
     EXPECT_DOUBLE_EQ(f.channelUtilization(1, 3, 1), 0.0);
+}
+
+namespace {
+
+std::vector<std::uint8_t>
+savedBytes(const HiRiseFabric &f)
+{
+    snap::Writer w;
+    f.save(w);
+    return w.buffer();
+}
+
+} // namespace
+
+TEST(HiRise, LazyBusyCyclesMatchPerCallAccounting)
+{
+    // The fabric stamps a channel at its grant and counts its busy
+    // cycles only at release, at a fault's forced break and on read.
+    // A test-side reference counts the plain way instead: every
+    // arbitrate call adds channelBusy(s,d,k), every idle span of n
+    // cycles adds n. Random runs mix held connections, early
+    // releases, idle spans, mid-packet faults, recoveries and
+    // save -> load; the two counts must agree after every step.
+    const ChannelAlloc allocs[] = {ChannelAlloc::InputBinned,
+                                   ChannelAlloc::OutputBinned,
+                                   ChannelAlloc::Priority};
+    Rng rng(77);
+    for (std::uint32_t radix : {16u, 64u}) {
+        for (std::uint32_t c : {1u, 2u, 4u}) {
+            for (ChannelAlloc alloc : allocs) {
+                SwitchSpec spec = hiriseSpec(c, ArbScheme::Clrg, radix);
+                spec.alloc = alloc;
+                SCOPED_TRACE("radix " + std::to_string(radix) + " c " +
+                             std::to_string(c) + " alloc " +
+                             toString(alloc));
+                const std::uint32_t L = spec.layers;
+                auto f = std::make_unique<HiRiseFabric>(spec);
+                std::vector<std::uint64_t> ref(std::size_t(L) * L * c, 0);
+                std::uint64_t calls = 0;
+                std::vector<std::uint32_t> conn_out(radix, kNoRequest);
+                std::vector<std::uint32_t> conn_left(radix, 0);
+
+                auto account = [&](std::uint64_t n) {
+                    for (std::uint32_t s = 0; s < L; ++s)
+                        for (std::uint32_t d = 0; d < L; ++d)
+                            for (std::uint32_t k = 0; k < c; ++k)
+                                if (f->channelBusy(s, d, k))
+                                    ref[(s * L + d) * c + k] += n;
+                    calls += n;
+                };
+                auto releaseExpired = [&](std::uint64_t n) {
+                    for (std::uint32_t i = 0; i < radix; ++i) {
+                        if (conn_out[i] == kNoRequest)
+                            continue;
+                        if (conn_left[i] > n) {
+                            conn_left[i] -= static_cast<std::uint32_t>(n);
+                            continue;
+                        }
+                        f->release(i, conn_out[i]);
+                        conn_out[i] = kNoRequest;
+                    }
+                };
+                auto forget = [&](const std::vector<BrokenConn> &broken) {
+                    for (const auto &b : broken) {
+                        ASSERT_EQ(conn_out[b.input], b.output);
+                        conn_out[b.input] = kNoRequest;
+                    }
+                };
+
+                for (int step = 0; step < 400; ++step) {
+                    const auto action = rng.below(100);
+                    if (action < 55) {
+                        std::vector<std::uint32_t> req(radix, kNoRequest);
+                        for (std::uint32_t i = 0; i < radix; ++i)
+                            if (conn_out[i] == kNoRequest &&
+                                rng.bernoulli(0.3))
+                                req[i] = static_cast<std::uint32_t>(
+                                    rng.below(radix));
+                        account(1);
+                        const BitVec &g = f->arbitrate(req);
+                        g.forEachSet([&](std::uint32_t i) {
+                            conn_out[i] = req[i];
+                            conn_left[i] = 1 + static_cast<std::uint32_t>(
+                                                   rng.below(8));
+                        });
+                        releaseExpired(1);
+                    } else if (action < 70) {
+                        const std::uint64_t n = 1 + rng.below(20);
+                        account(n);
+                        f->advanceIdle(n);
+                        releaseExpired(n);
+                    } else if (action < 80) {
+                        const auto s =
+                            static_cast<std::uint32_t>(rng.below(L));
+                        const auto d = static_cast<std::uint32_t>(
+                            (s + 1 + rng.below(L - 1)) % L);
+                        const auto k =
+                            static_cast<std::uint32_t>(rng.below(c));
+                        std::vector<BrokenConn> broken;
+                        f->failChannel(s, d, k, &broken);
+                        forget(broken);
+                    } else if (action < 88) {
+                        const auto s =
+                            static_cast<std::uint32_t>(rng.below(L));
+                        const auto d = static_cast<std::uint32_t>(
+                            (s + 1 + rng.below(L - 1)) % L);
+                        f->recoverChannel(
+                            s, d, static_cast<std::uint32_t>(rng.below(c)));
+                    } else if (action < 94) {
+                        const auto i =
+                            static_cast<std::uint32_t>(rng.below(radix));
+                        if (conn_out[i] != kNoRequest) {
+                            f->release(i, conn_out[i]);
+                            conn_out[i] = kNoRequest;
+                        }
+                    } else {
+                        const auto bytes = savedBytes(*f);
+                        auto g = std::make_unique<HiRiseFabric>(spec);
+                        snap::Reader r(bytes);
+                        g->load(r);
+                        ASSERT_TRUE(r.done());
+                        ASSERT_EQ(savedBytes(*g), bytes) << "step " << step;
+                        f = std::move(g);
+                    }
+
+                    const auto st = f->stats();
+                    ASSERT_EQ(st.chanBusyCycles, ref) << "step " << step;
+                    for (std::uint32_t s = 0; s < L; ++s)
+                        for (std::uint32_t d = 0; d < L; ++d)
+                            for (std::uint32_t k = 0; s != d && k < c; ++k)
+                                ASSERT_EQ(f->channelUtilization(s, d, k),
+                                          calls == 0
+                                              ? 0.0
+                                              : static_cast<double>(
+                                                    ref[(s * L + d) * c +
+                                                        k]) /
+                                                    static_cast<double>(
+                                                        calls))
+                                    << "step " << step;
+                }
+            }
+        }
+    }
 }
 
 TEST(HiRise, FailedChannelRemapsBinnedTraffic)

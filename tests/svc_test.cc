@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
@@ -534,7 +536,15 @@ class SpecFileFixture : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "svc_spec_test_tmp";
+        // One directory per case and process: ctest runs each case
+        // as its own process, so under `ctest -j` a shared directory
+        // would be removed by one case's TearDown under another.
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        dir_ = (std::filesystem::temp_directory_path() /
+                ("hirise_svc_spec_" + std::string(info->name()) + "_" +
+                 std::to_string(::getpid())))
+                   .string();
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_ + "/sub");
     }
