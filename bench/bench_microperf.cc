@@ -19,8 +19,13 @@
 
 #include "arb/matrix_arbiter.hh"
 #include "arb/sub_block_arbiter.hh"
+#include "cmp/graph_transport.hh"
+#include "cmp/system.hh"
 #include "common/random.hh"
 #include "fabric/fabric.hh"
+#include "harness/experiments.hh"
+#include "noc/graph_noc.hh"
+#include "phys/model.hh"
 #include "sim/network_sim.hh"
 #include "traffic/pattern.hh"
 
@@ -32,7 +37,11 @@ using namespace hirise;
 
 static std::uint64_t g_allocCount = 0;
 
-void *
+// None of the replacements is inlined: GCC would otherwise see the
+// malloc() inside operator new reach an operator delete, or free()
+// reach a pointer from operator new, and warn (-Wmismatched-new-delete)
+// though the pairs match.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     ++g_allocCount;
@@ -41,7 +50,7 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     ++g_allocCount;
@@ -50,22 +59,22 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -449,4 +458,80 @@ BENCHMARK(BM_OverSaturatedRun_HiRise)
 BENCHMARK(BM_OverSaturatedRun_HiRise_Legacy)
     ->Args({128, 0})
     ->Args({128, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------
+// Closed-loop engines: the 64-core system of Table VI and the
+// kilo-core mesh of section VI-E, one whole short run per iteration
+// (construction included), single-threaded.
+// ---------------------------------------------------------------------
+
+namespace {
+
+enum class CmpNet { Central2d, CentralHiRise, Butterfly };
+
+void
+BM_CmpSystemRun(benchmark::State &state, CmpNet net)
+{
+    for (auto _ : state) {
+        cmp::SystemConfig cfg;
+        auto per_core =
+            cmp::assignMix(cmp::paperMixes()[7], cfg.numTiles); // mix 8
+        std::unique_ptr<cmp::CmpSystem> sys;
+        if (net == CmpNet::Butterfly) {
+            sys = std::make_unique<cmp::CmpSystem>(
+                [&](cmp::Transport::DeliverFn d) {
+                    return std::make_unique<cmp::GraphTransport>(
+                        std::make_shared<noc::FlattenedButterfly>(
+                            4, 4, 4, 2.0),
+                        std::move(d), 4, cfg.seed);
+                },
+                cfg, std::move(per_core));
+        } else {
+            const SwitchSpec spec =
+                net == CmpNet::Central2d
+                    ? harness::spec2d()
+                    : harness::specHiRise(4, ArbScheme::Clrg);
+            cfg.switchFreqGhz = phys::PhysModel().evaluate(spec).freqGhz;
+            sys = std::make_unique<cmp::CmpSystem>(spec, cfg,
+                                                   std::move(per_core));
+        }
+        auto r = sys->run(500, 2500);
+        benchmark::DoNotOptimize(r);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * 3000));
+}
+
+void
+BM_KiloCoreMesh(benchmark::State &state, bool hirise)
+{
+    const SwitchSpec router = hirise
+                                  ? harness::specHiRise(4, ArbScheme::Clrg)
+                                  : harness::spec2d(52); // 48 local + 4 mesh
+    // The kilo-core study's mid load, 0.035 packets/node/ns.
+    const double rate = 0.035 / phys::PhysModel().evaluate(router).freqGhz;
+    for (auto _ : state) {
+        // 4x4 routers, 4-flit packets, 4-packet input FIFOs, seed 1.
+        noc::GraphNoc mesh(noc::LowRadixMesh::ofRouters(4, 4, router),
+                           router, 4, 4, 1);
+        auto r = mesh.run(rate, 200, 1000);
+        benchmark::DoNotOptimize(r);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * 1200));
+}
+
+} // namespace
+
+// Items = core cycles (CMP) or mesh cycles (kilo-core).
+BENCHMARK_CAPTURE(BM_CmpSystemRun, 2d, CmpNet::Central2d)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CmpSystemRun, hirise, CmpNet::CentralHiRise)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CmpSystemRun, fb, CmpNet::Butterfly)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_KiloCoreMesh, hirise, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_KiloCoreMesh, flat, false)
     ->Unit(benchmark::kMillisecond);

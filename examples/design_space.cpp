@@ -39,7 +39,7 @@ main(int argc, char **argv)
               "Tbps/mm^2"});
 
     double best_density = 0.0;
-    std::string best;
+    char best[32] = ""; // "L<layers> c<channels>"
     for (std::uint32_t layers : {2u, 3u, 4u, 5u, 6u}) {
         for (std::uint32_t chans : {1u, 2u, 4u}) {
             SwitchSpec spec;
@@ -62,8 +62,8 @@ main(int argc, char **argv)
                    Table::num(tbps, 2), Table::num(density, 1)});
             if (density > best_density) {
                 best_density = density;
-                best = "L" + std::to_string(layers) + " c" +
-                       std::to_string(chans);
+                std::snprintf(best, sizeof best, "L%u c%u", layers,
+                              chans);
             }
         }
     }
@@ -83,6 +83,6 @@ main(int argc, char **argv)
                 tbps2d / rep2d.areaMm2);
     std::printf("Best Hi-Rise by bandwidth density: %s "
                 "(%.1f Tbps/mm^2)\n",
-                best.c_str(), best_density);
+                best, best_density);
     return 0;
 }

@@ -34,19 +34,70 @@ nthSet(const BitVec &v, std::uint32_t idx)
 // ---------------------------------------------------------------------
 
 void
-LrgScheduler::match(const BitVec &contended,
-                    std::span<const BitVec> want,
-                    std::span<std::uint32_t> winner)
+LrgScheduler::schedule(std::span<const std::uint32_t> req,
+                       std::span<const std::uint32_t> active,
+                       std::span<std::uint32_t> holder, BitVec &grant)
 {
-    // Exactly the op sequence Flat2dFabric::finishArbitrate ran before
-    // the strategy interface existed: ascending contended columns,
-    // pick then demote. Bit-identity with the pre-refactor fabric is
-    // enforced by the golden suite and the differential oracle.
-    contended.forEachSet([&](std::uint32_t o) {
-        std::uint32_t w = arb_[o].pick(want[o]);
-        winner[o] = w; // MatrixArbiter::kNone == kNone
-        if (w != MatrixArbiter::kNone)
-            arb_[o].update(w);
+    // Columns are independent and each column's winner is the minimum
+    // of distinct stamps, so one pass in any order gives what the
+    // differential oracle's ascending column-by-column pick-then-demote
+    // gives.
+    std::size_t n = 0;
+    for (std::uint32_t i : active) {
+        sim_assert(i < n_, "active input %u out of range", i);
+        const std::uint32_t o = req[i];
+        sim_assert(o < n_, "input %u requests bad output %u", i, o);
+        if (holder[o] != kNone)
+            continue; // held output: the request loses this cycle
+        std::uint32_t &b = best_[o];
+        if (b == kNone) {
+            b = i;
+            touched_[n++] = o;
+        } else if (arb_[o].outranks(i, b)) {
+            b = i;
+        }
+    }
+    for (std::uint32_t o : std::span(touched_).first(n)) {
+        const std::uint32_t w = best_[o];
+        best_[o] = kNone;
+        arb_[o].update(w);
+        holder[o] = w;
+        grant.set(w);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Column binning (iSLIP, PIM, wavefront)
+// ---------------------------------------------------------------------
+
+void
+ColumnScheduler::schedule(std::span<const std::uint32_t> req,
+                          std::span<const std::uint32_t> active,
+                          std::span<std::uint32_t> holder, BitVec &grant)
+{
+    // A column's mask is cleared lazily when it first gains a
+    // requestor this cycle; active is ascending, so every column
+    // lists its requestors in input order.
+    contended_.clear();
+    for (std::uint32_t i : active) {
+        sim_assert(i < n_, "active input %u out of range", i);
+        const std::uint32_t o = req[i];
+        sim_assert(o < n_, "input %u requests bad output %u", i, o);
+        if (holder[o] != kNone)
+            continue; // held output: the request loses this cycle
+        if (!contended_[o]) {
+            contended_.set(o);
+            want_[o].clear();
+        }
+        want_[o].set(i);
+    }
+    match(contended_, want_, winner_);
+    contended_.forEachSet([&](std::uint32_t o) {
+        const std::uint32_t w = winner_[o];
+        if (w == kNone)
+            return;
+        holder[o] = w;
+        grant.set(w);
     });
 }
 

@@ -1,15 +1,18 @@
 /**
  * @file
  * Pluggable single-stage crossbar schedulers (ROADMAP item 3): the
- * grant-decision strategy behind Flat2dFabric. The fabric's collect
- * pass bins requests into per-output columns (a `contended` output
- * set plus a `want` requestor bitmap per column); the scheduler turns
- * those columns into at most one winner per column, one per input —
- * a matching. Selected via SwitchSpec::arb (makeScheduler below).
+ * grant-decision strategy behind Flat2dFabric. The fabric hands its
+ * cycle's request list (schedule()) to the scheduler, which grants at
+ * most one input per free output, one output per input — a matching.
+ * LRG decides in one pass over the list; the iterative schedulers
+ * (ColumnScheduler) bin the list into per-output columns (a
+ * `contended` output set plus a `want` requestor bitmap per column)
+ * and match those. Selected via SwitchSpec::arb (makeScheduler below).
  *
  * Implemented strategies:
  *  - LRG: per-column matrix arbiter, exactly the decision sequence the
- *    fabric hard-wired before the interface existed (bit-identical).
+ *    fabric hard-wired before the interface existed (bit-identical):
+ *    each free output goes to its requestor with the oldest grant.
  *  - iSLIP: 1..k iterations of round-robin grant/accept pointer
  *    matching (McKeown); pointers move one past the match only when
  *    the grant is accepted in the first iteration, which is what
@@ -20,12 +23,12 @@
  *    (schedSeed, draw index) — order-independent and replayable.
  *  - Wavefront: combinational rotating-priority diagonal sweep.
  *
- * Statefulness contract: the fabric calls match() exactly once per
+ * Statefulness contract: the fabric calls schedule() exactly once per
  * arbitration cycle in which at least one input requested, and never
  * on all-idle cycles (the event core skips those entirely — see
  * Fabric::advanceIdle). Schedulers may therefore advance per-call
  * state (round-robin pointers, the PIM draw tick, the wavefront
- * priority diagonal) inside match() and stay bit-identical across
+ * priority diagonal) inside schedule() and stay bit-identical across
  * dense and event-driven stepping. Each strategy has a
  * deliberately naive reference twin in src/check/oracle.cc whose
  * decision order must track this file operation for operation.
@@ -58,29 +61,19 @@ class CrossbarScheduler
     std::uint32_t size() const { return n_; }
 
     /**
-     * One matching pass over the crossbar's request columns.
+     * One arbitration cycle of the fabric.
      *
-     * @param contended outputs with >= 1 requestor this cycle (busy
-     *                  outputs never appear — their requests lost at
-     *                  collect time)
-     * @param want      want[o] = requestor bitmap of output o's
-     *                  column; valid only for contended o
-     * @param winner    out-param: winner[o] = granted input or kNone
-     *                  for every contended o (entries of other
-     *                  outputs are left untouched)
-     *
-     * Must produce a matching: distinct contended outputs never get
-     * the same winner, and winner[o] is always a requestor of o.
-     * Exception: LrgScheduler decides each column independently (the
-     * paper's design), so it relies on the degree-1 invariant the
-     * fabric's collect pass guarantees — each input requests at most
-     * one output per cycle — and may double-grant an input on
-     * arbitrary multi-request matrices. The iterative schedulers
-     * produce a proper matching for any request matrix.
+     * @param req    req[i] = output input i requests
+     * @param active the requesting inputs, ascending (non-empty)
+     * @param holder per output: the input holding it, or kNone when
+     *               free; a request to a held output loses, and each
+     *               grant is recorded here
+     * @param grant  each granted input's bit is set
      */
-    virtual void match(const BitVec &contended,
-                       std::span<const BitVec> want,
-                       std::span<std::uint32_t> winner) = 0;
+    virtual void schedule(std::span<const std::uint32_t> req,
+                          std::span<const std::uint32_t> active,
+                          std::span<std::uint32_t> holder,
+                          BitVec &grant) = 0;
 
     /** Checkpoint per-call state (pointers, ticks, priority rows);
      *  load() runs on a same-configuration fresh instance. */
@@ -92,16 +85,22 @@ class CrossbarScheduler
 };
 
 /** The paper's flat scheme: one least-recently-granted matrix arbiter
- *  per output column, picked and demoted in ascending column order. */
+ *  per output column. Columns are independent, so schedule() takes
+ *  each free output's requestor with the smallest grant stamp in one
+ *  pass over the request list (stamps are distinct: the minimum does
+ *  not depend on the visiting order) and then demotes the winners. */
 class LrgScheduler final : public CrossbarScheduler
 {
   public:
     explicit LrgScheduler(std::uint32_t n)
-        : CrossbarScheduler(n), arb_(n, MatrixArbiter(n))
+        : CrossbarScheduler(n), arb_(n, MatrixArbiter(n)), best_(n, kNone),
+          touched_(n)
     {}
 
-    void match(const BitVec &contended, std::span<const BitVec> want,
-               std::span<std::uint32_t> winner) override;
+    void schedule(std::span<const std::uint32_t> req,
+                  std::span<const std::uint32_t> active,
+                  std::span<std::uint32_t> holder,
+                  BitVec &grant) override;
 
     const MatrixArbiter &columnArb(std::uint32_t o) const
     {
@@ -123,14 +122,65 @@ class LrgScheduler final : public CrossbarScheduler
 
   private:
     std::vector<MatrixArbiter> arb_;
+
+    // -- per-call scratch --------------------------------------------
+    std::vector<std::uint32_t> best_;    //!< per output; kNone between calls
+    std::vector<std::uint32_t> touched_; //!< outputs with a best_ entry
+};
+
+/**
+ * Base of the schedulers that match a request matrix (iSLIP, PIM,
+ * wavefront): schedule() bins the request list into per-output
+ * columns — free outputs only, each column's requestors ascending —
+ * and runs match() on them, even when every request lost to a held
+ * output.
+ */
+class ColumnScheduler : public CrossbarScheduler
+{
+  public:
+    explicit ColumnScheduler(std::uint32_t n)
+        : CrossbarScheduler(n), want_(n, BitVec(n)), contended_(n),
+          winner_(n, kNone)
+    {}
+
+    void schedule(std::span<const std::uint32_t> req,
+                  std::span<const std::uint32_t> active,
+                  std::span<std::uint32_t> holder,
+                  BitVec &grant) final;
+
+    /**
+     * One matching pass over request columns.
+     *
+     * @param contended outputs with >= 1 requestor this cycle (held
+     *                  outputs never appear — their requests lost
+     *                  when the list was binned)
+     * @param want      want[o] = requestor bitmap of output o's
+     *                  column; valid only for contended o
+     * @param winner    out-param: winner[o] = granted input or kNone
+     *                  for every contended o (entries of other
+     *                  outputs are left untouched)
+     *
+     * Must produce a matching for any request matrix, including
+     * multi-request columns the fabric's degree-1 list cannot
+     * express: distinct contended outputs never get the same winner,
+     * and winner[o] is always a requestor of o.
+     */
+    virtual void match(const BitVec &contended,
+                       std::span<const BitVec> want,
+                       std::span<std::uint32_t> winner) = 0;
+
+  private:
+    std::vector<BitVec> want_; //!< requestor mask per output column
+    BitVec contended_;         //!< outputs with >= 1 requestor
+    std::vector<std::uint32_t> winner_; //!< match() out-param
 };
 
 /** iSLIP with @p iters iterations (iters == 1 is plain SLIP). */
-class IslipScheduler final : public CrossbarScheduler
+class IslipScheduler final : public ColumnScheduler
 {
   public:
     IslipScheduler(std::uint32_t n, std::uint32_t iters)
-        : CrossbarScheduler(n), iters_(iters), grantPtr_(n, 0),
+        : ColumnScheduler(n), iters_(iters), grantPtr_(n, 0),
           acceptPtr_(n, 0), bestOut_(n, 0), bestDist_(n, 0),
           matchedIn_(n), grantedIn_(n), outPending_(n), cand_(n)
     {}
@@ -179,12 +229,12 @@ class IslipScheduler final : public CrossbarScheduler
  *  granting output and per accepting input even when only one choice
  *  exists, keeping the tick stream aligned with the request history
  *  alone. */
-class PimScheduler final : public CrossbarScheduler
+class PimScheduler final : public ColumnScheduler
 {
   public:
     PimScheduler(std::uint32_t n, std::uint32_t rounds,
                  std::uint64_t seed)
-        : CrossbarScheduler(n), rounds_(rounds),
+        : ColumnScheduler(n), rounds_(rounds),
           key_(counterKey(seed, 0)), grants_(n), matchedIn_(n),
           grantedIn_(n), outPending_(n), cand_(n)
     {}
@@ -214,11 +264,11 @@ class PimScheduler final : public CrossbarScheduler
  *  i + o == diag (mod n) starting from a priority diagonal that
  *  rotates one position per arbitration call; cells on one diagonal
  *  are conflict-free, so each sweep grants greedily. */
-class WavefrontScheduler final : public CrossbarScheduler
+class WavefrontScheduler final : public ColumnScheduler
 {
   public:
     explicit WavefrontScheduler(std::uint32_t n)
-        : CrossbarScheduler(n), matchedIn_(n)
+        : ColumnScheduler(n), matchedIn_(n)
     {}
 
     void match(const BitVec &contended, std::span<const BitVec> want,

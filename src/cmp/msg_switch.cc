@@ -14,7 +14,8 @@ MsgSwitch::MsgSwitch(const SwitchSpec &spec, std::uint32_t num_vcs,
                      std::unique_ptr<fabric::Fabric> fabric)
     : numVcs_(num_vcs), core_(std::move(fabric)),
       deliver_(std::move(deliver)), ports_(spec.radix),
-      vcs_(std::size_t(spec.radix) * num_vcs)
+      vcs_(std::size_t(spec.radix) * num_vcs),
+      headOut_(std::size_t(spec.radix) * num_vcs, fabric::kNoRequest)
 {
     sim_assert(num_vcs >= 1, "a port needs at least one VC");
     sim_assert(core_.radix() == spec.radix,
@@ -29,16 +30,22 @@ MsgSwitch::send(const Message &m)
     sim_assert(m.srcTile != m.dstTile,
                "tile-local traffic must not enter the switch");
     // Join the shortest VC queue (stable for equal lengths).
-    RingBuffer<Message> *best = &vc(m.srcTile, 0);
+    std::uint32_t best = 0;
     for (std::uint32_t v = 1; v < numVcs_; ++v) {
-        RingBuffer<Message> &q = vc(m.srcTile, v);
-        if (q.size() < best->size())
-            best = &q;
+        if (vc(m.srcTile, v).size() < vc(m.srcTile, best).size())
+            best = v;
     }
-    best->push_back(m);
+    RingBuffer<Message> &q = vc(m.srcTile, best);
+    q.push_back(m);
     ++ports_[m.srcTile].queued;
     ++backlog_;
-    core_.wake(m.srcTile);
+    // Only a new head changes the port's pick: a message behind a
+    // head joins a port that is connected, waiting or parked on that
+    // head's output, and every VC is non-empty then.
+    if (q.size() == 1) {
+        headOut(m.srcTile, best) = m.dstTile;
+        core_.wake(m.srcTile);
+    }
 }
 
 void
@@ -46,21 +53,26 @@ MsgSwitch::step()
 {
     // Each waiting port requests the output of the first VC, in
     // round-robin order, whose head's output is free. Ports without a
-    // request leave their round-robin pointer untouched.
+    // request leave their round-robin pointer untouched and park on
+    // their heads' outputs.
     core_.arbitrate(
         [&](std::uint32_t i) {
             Port &p = ports_[i];
+            const std::uint32_t *head = &headOut(i, 0);
             std::uint32_t v = p.rr;
             for (std::uint32_t k = 0; k < numVcs_; ++k) {
-                const RingBuffer<Message> &q = vc(i, v);
-                if (!q.empty() && core_.outputFree(q.front().dstTile)) {
+                const std::uint32_t o = head[v];
+                if (o != fabric::kNoRequest && core_.outputFree(o)) {
                     p.vc = v;
                     p.rr = v + 1 == numVcs_ ? 0 : v + 1;
-                    return q.front().dstTile;
+                    return o;
                 }
                 if (++v == numVcs_)
                     v = 0;
             }
+            for (v = 0; v < numVcs_; ++v)
+                if (head[v] != fabric::kNoRequest)
+                    core_.parkOn(i, head[v]);
             return fabric::kNoRequest;
         },
         [&](std::uint32_t i, std::uint32_t) {
@@ -78,6 +90,8 @@ MsgSwitch::step()
         RingBuffer<Message> &q = vc(i, p.vc);
         Message m = q.front();
         q.pop_front();
+        headOut(i, p.vc) = q.empty() ? fabric::kNoRequest
+                                     : q.front().dstTile;
         --backlog_;
         core_.release(i, --p.queued != 0);
         ++delivered_;

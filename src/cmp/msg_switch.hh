@@ -11,8 +11,10 @@
  * free-output set, and the core drives the fabric. This class adds
  * the VC queues, the round-robin VC walk that chooses each port's
  * request, and message delivery; the backlog is a running count.
- * Nothing allocates once the VC rings have reached their high-water
- * size.
+ * A port whose VC heads all wait on held outputs parks on those
+ * outputs: its pick can only succeed once one of them is freed or a
+ * message reaches an empty VC. Nothing allocates once the VC rings
+ * have reached their high-water size.
  */
 
 #ifndef HIRISE_CMP_MSG_SWITCH_HH
@@ -74,11 +76,20 @@ class MsgSwitch : public Transport
         return vcs_[std::size_t(port) * numVcs_ + v];
     }
 
+    /** Output of the head message of VC @p v at @p port, or
+     *  fabric::kNoRequest for an empty VC. */
+    std::uint32_t &
+    headOut(std::uint32_t port, std::uint32_t v)
+    {
+        return headOut_[std::size_t(port) * numVcs_ + v];
+    }
+
     std::uint32_t numVcs_;
     fabric::SwitchCore core_;
     DeliverFn deliver_;
     std::vector<Port> ports_;
     std::vector<RingBuffer<Message>> vcs_; //!< port-major, numVcs_ each
+    std::vector<std::uint32_t> headOut_;   //!< port-major, as vcs_
 
     std::uint64_t backlog_ = 0;
     std::uint64_t delivered_ = 0;

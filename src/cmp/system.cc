@@ -1,5 +1,7 @@
 #include "cmp/system.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace hirise::cmp {
@@ -7,17 +9,24 @@ namespace hirise::cmp {
 CmpSystem::CmpSystem(const TransportFactory &make_net,
                      const SystemConfig &cfg,
                      std::vector<Benchmark> per_core)
-    : cfg_(cfg), rng_(cfg.seed), l2FreeAt_(cfg.numTiles, 0),
+    : cfg_(cfg), rng_(cfg.seed),
+      blockThr_(bernoulliThreshold(cfg.blockingFraction)),
+      issuing_(cfg.numTiles), l2FreeAt_(cfg.numTiles, 0),
       mcFreeAt_(cfg.numMemCtrls, 0)
 {
     net_ = make_net([this](const Message &m) { onMessage(m); });
     sim_assert(per_core.size() == cfg.numTiles,
                "one benchmark per tile required");
+    sim_assert(cfg.maxOutstanding >= 1, "a core needs an MSHR window");
     cores_.resize(cfg.numTiles);
     for (std::uint32_t c = 0; c < cfg.numTiles; ++c) {
         cores_[c].bench = per_core[c];
         cores_[c].txns.resize(cfg.mshrsPerCore);
+        cores_[c].missThr =
+            bernoulliThreshold(per_core[c].mpki / 1000.0);
+        cores_[c].l2HitThr = bernoulliThreshold(per_core[c].l2HitRate);
     }
+    issuing_.fill();
 }
 
 CmpSystem::CmpSystem(const SwitchSpec &switch_spec,
@@ -43,24 +52,42 @@ CmpSystem::pickMcTile()
 }
 
 void
+CmpSystem::parkCore(std::uint32_t c)
+{
+    issuing_.reset(c);
+    cores_[c].stallFrom = coreCycle_ + 1;
+}
+
+void
+CmpSystem::closeStall(Core &core)
+{
+    // Stall cycles [stallFrom, coreCycle_), of which only the counted
+    // ones (from countFrom_ on) are booked.
+    const std::uint64_t from = std::max(core.stallFrom, countFrom_);
+    if (coreCycle_ > from)
+        core.stallCycles += coreCycle_ - from;
+    core.stallFrom = coreCycle_;
+}
+
+void
 CmpSystem::coreCycleOne(std::uint32_t c)
 {
+    // Only issuing cores are stepped: a blocked or window-full one
+    // left issuing_ and books its stall cycles lazily (closeStall).
     Core &core = cores_[c];
-    if (core.blockedOn != kNoTxn) {
-        if (counting_)
-            ++core.stallCycles;
-        return;
-    }
-    double miss_prob = core.bench.mpki / 1000.0;
+    sim_assert(core.blockedOn == kNoTxn &&
+                   core.outstanding < cfg_.maxOutstanding,
+               "stalled core %u stepped", c);
     for (std::uint32_t slot = 0; slot < cfg_.issueWidth; ++slot) {
         if (core.outstanding >= cfg_.maxOutstanding) {
             if (counting_)
                 ++core.stallCycles;
+            parkCore(c);
             return; // window full: no further retire this cycle
         }
         if (counting_)
             ++core.retired;
-        if (!rng_.bernoulli(miss_prob))
+        if (!rng_.bernoulliThr(core.missThr))
             continue;
 
         // L1 miss: allocate a transaction (MSHR slot).
@@ -74,8 +101,8 @@ CmpSystem::coreCycleOne(std::uint32_t c)
         sim_assert(id != kNoTxn, "outstanding < MSHRs but none free");
         Txn &txn = core.txns[id];
         txn.inUse = true;
-        txn.blocking = rng_.bernoulli(cfg_.blockingFraction);
-        txn.l2Hit = rng_.bernoulli(core.bench.l2HitRate);
+        txn.blocking = rng_.bernoulliThr(blockThr_);
+        txn.l2Hit = rng_.bernoulliThr(core.l2HitThr);
         txn.startCoreCycle = coreCycle_;
         ++core.outstanding;
         if (counting_)
@@ -98,16 +125,38 @@ CmpSystem::coreCycleOne(std::uint32_t c)
 
         if (txn.blocking) {
             core.blockedOn = id;
+            parkCore(c);
             return; // demand load: the core waits for the data
         }
     }
+    // A window filled by the last slot stalls from the next cycle.
+    if (core.outstanding >= cfg_.maxOutstanding)
+        parkCore(c);
 }
 
 void
 CmpSystem::stepCores()
 {
-    for (std::uint32_t c = 0; c < cfg_.numTiles; ++c)
-        coreCycleOne(c);
+    // Ascending, as every core was stepped before: the shared RNG
+    // sees the same draw order. Completions (finishTxn) never run
+    // inside this walk, so no core is re-armed during it.
+    issuing_.forEachSet([this](std::uint32_t c) { coreCycleOne(c); });
+}
+
+void
+CmpSystem::pushEvent(std::uint64_t core_cycle, Event::Kind kind,
+                     const Message &m)
+{
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(eventMsgs_.size());
+        eventMsgs_.push_back(m);
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        eventMsgs_[slot] = m;
+    }
+    events_.push({core_cycle, slot, kind});
 }
 
 void
@@ -117,7 +166,7 @@ CmpSystem::l2Access(const Message &m)
     std::uint64_t start = std::max(l2FreeAt_[tile], coreCycle_);
     std::uint64_t done = start + cfg_.l2AccessCycles;
     l2FreeAt_[tile] = done;
-    events_.push({done, Event::Kind::L2Done, m});
+    pushEvent(done, Event::Kind::L2Done, m);
 }
 
 void
@@ -150,7 +199,7 @@ CmpSystem::memAccess(const Message &m)
         cfg_.memLatencyNs * cycles_per_ns);
     std::uint64_t start = std::max(mcFreeAt_[mc_idx], coreCycle_);
     mcFreeAt_[mc_idx] = start + service;
-    events_.push({start + latency, Event::Kind::MemDone, m});
+    pushEvent(start + latency, Event::Kind::MemDone, m);
 }
 
 void
@@ -198,6 +247,14 @@ CmpSystem::finishTxn(const Message &m)
         missLatAccumCycles_ += coreCycle_ - txn.startCoreCycle;
         ++missLatCount_;
     }
+    // Completions run between core steps (event dispatch, transport
+    // steps), so the core's next step is at coreCycle_: it stalled
+    // up to there.
+    if (!issuing_[m.requesterTile] && core.blockedOn == kNoTxn &&
+        core.outstanding < cfg_.maxOutstanding) {
+        closeStall(core);
+        issuing_.set(m.requesterTile);
+    }
 }
 
 void
@@ -224,12 +281,15 @@ CmpSystem::dispatchEvents()
 {
     while (!events_.empty() &&
            events_.top().coreCycle <= coreCycle_) {
-        Event e = events_.top();
+        const Event e = events_.top();
         events_.pop();
+        // Copied out: the handler may push events into the slab.
+        const Message m = eventMsgs_[e.slot];
+        freeSlots_.push_back(e.slot);
         if (e.kind == Event::Kind::L2Done)
-            l2Done(e.msg);
+            l2Done(m);
         else
-            memDone(e.msg);
+            memDone(m);
     }
 }
 
@@ -245,6 +305,7 @@ CmpSystem::run(std::uint64_t warmup, std::uint64_t core_cycles)
     while (coreCycle_ < end) {
         if (coreCycle_ == warmup && !counting_) {
             counting_ = true;
+            countFrom_ = coreCycle_;
             msg_base = net_->messagesDelivered();
         }
         if (t_core <= t_switch) {
@@ -257,6 +318,11 @@ CmpSystem::run(std::uint64_t warmup, std::uint64_t core_cycles)
             t_switch += switch_period_ps;
         }
     }
+
+    // Book the stall cycles of cores still stalled at the end.
+    for (std::uint32_t c = 0; c < cfg_.numTiles; ++c)
+        if (!issuing_[c])
+            closeStall(cores_[c]);
 
     SystemResult r;
     r.cores.reserve(cores_.size());

@@ -16,6 +16,7 @@
 #include "cmp/msg_switch.hh"
 #include "cmp/transport.hh"
 #include "cmp/workload.hh"
+#include "common/bitvec.hh"
 #include "common/random.hh"
 #include "common/spec.hh"
 
@@ -97,22 +98,30 @@ class CmpSystem
     {
         Benchmark bench;
         std::vector<Txn> txns;
+        std::uint64_t missThr = 0;  //!< bernoulliThreshold(mpki / 1000)
+        std::uint64_t l2HitThr = 0; //!< bernoulliThreshold(l2HitRate)
         std::uint32_t outstanding = 0;
         std::uint32_t blockedOn = kNoTxn; //!< txn id or kNoTxn
         std::uint64_t retired = 0;
         std::uint64_t misses = 0;
         std::uint64_t stallCycles = 0;
+        /** While the core is stalled: its first stall cycle not yet
+         *  in stallCycles. */
+        std::uint64_t stallFrom = 0;
     };
 
     static constexpr std::uint32_t kNoTxn = ~0u;
 
-    /** Deferred tile-side completion (L2 access done, DRAM done). */
+    /** Deferred tile-side completion (L2 access done, DRAM done). The
+     *  heap orders (cycle, slot) keys; the message waits in a slab
+     *  slot. Keys compare by cycle only, so ties pop in the order the
+     *  heap's comparisons give, whatever the slot numbers. */
     struct Event
     {
-        enum class Kind { L2Done, MemDone };
+        enum class Kind : std::uint32_t { L2Done, MemDone };
         std::uint64_t coreCycle;
+        std::uint32_t slot; //!< into eventMsgs_
         Kind kind;
-        Message msg; //!< transaction context
         bool operator>(const Event &o) const
         {
             return coreCycle > o.coreCycle;
@@ -121,6 +130,12 @@ class CmpSystem
 
     void stepCores();
     void coreCycleOne(std::uint32_t c);
+    /** Core @p c stalls from the next cycle on: stop stepping it. */
+    void parkCore(std::uint32_t c);
+    /** Add core @p c 's stall cycles up to the current cycle. */
+    void closeStall(Core &core);
+    void pushEvent(std::uint64_t core_cycle, Event::Kind kind,
+                   const Message &m);
     void onMessage(const Message &m);
     void l2Access(const Message &m);
     void l2Done(const Message &m);
@@ -136,13 +151,23 @@ class CmpSystem
     std::unique_ptr<Transport> net_;
     Rng rng_;
 
+    std::uint64_t blockThr_; //!< bernoulliThreshold(blockingFraction)
+
     std::uint64_t coreCycle_ = 0;
     bool counting_ = false;
+    /** First counted core cycle; ~0 until counting starts. */
+    std::uint64_t countFrom_ = ~std::uint64_t(0);
     std::uint64_t missLatAccumCycles_ = 0;
     std::uint64_t missLatCount_ = 0;
+    /** Cores that issue this cycle. A blocked or window-full core
+     *  leaves it, and its stall cycles accrue from Core::stallFrom
+     *  until finishTxn re-arms it or a run ends. */
+    BitVec issuing_;
 
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         events_;
+    std::vector<Message> eventMsgs_;       //!< slab of pending events
+    std::vector<std::uint32_t> freeSlots_; //!< free eventMsgs_ slots
     std::vector<std::uint64_t> l2FreeAt_;  //!< per tile, core cycles
     std::vector<std::uint64_t> mcFreeAt_;  //!< per MC tile index
 };

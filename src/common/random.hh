@@ -196,6 +196,14 @@ class Rng
     /** Bernoulli draw with probability p. */
     bool bernoulli(double p) { return uniform() < p; }
 
+    /** The same draw as bernoulli(p) given @p threshold =
+     *  bernoulliThreshold(p), without the int-to-double conversion. */
+    bool
+    bernoulliThr(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
     /** Geometric draw: number of failures before first success. */
     std::uint64_t
     geometric(double p)

@@ -51,8 +51,14 @@ class Writer
     void
     bytes(const void *p, std::size_t n)
     {
-        const auto *b = static_cast<const std::uint8_t *>(p);
-        buf_.insert(buf_.end(), b, b + n);
+        if (n == 0)
+            return;
+        // resize + memcpy rather than a range insert: GCC 12 at -O3
+        // misreads the inlined insert into a small buffer as an
+        // overflow (-Wstringop-overflow).
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        std::memcpy(buf_.data() + at, p, n);
     }
 
     template <typename T>

@@ -50,8 +50,10 @@ SwitchSpec::name() const
             out += " c" + std::to_string(channels);
     }
     out += std::string(" ") + toString(arb);
-    if (arb == ArbScheme::Islip || arb == ArbScheme::Pim)
-        out += "/" + std::to_string(schedIters);
+    if (arb == ArbScheme::Islip || arb == ArbScheme::Pim) {
+        out += '/';
+        out += std::to_string(schedIters);
+    }
     return out;
 }
 

@@ -21,47 +21,28 @@ countFlatGrants(std::uint32_t n)
 
 } // namespace
 
+// holder_ is handed to the scheduler, which reads kNone as a free
+// output.
+static_assert(arb::CrossbarScheduler::kNone == kNoRequest);
+
 Flat2dFabric::Flat2dFabric(const SwitchSpec &spec)
     : Fabric(spec), sched_(arb::makeScheduler(spec)),
-      holder_(spec.radix, kNoRequest),
-      want_(spec.radix, BitVec(spec.radix)), contended_(spec.radix),
-      winner_(spec.radix, kNoRequest)
+      holder_(spec.radix, kNoRequest), active_(spec.radix)
 {
     sim_assert(spec.topo == Topology::Flat2D ||
                    spec.topo == Topology::Folded3D,
                "Flat2dFabric models 2D and folded switches only");
 }
 
-// Group one request into its output column; a column's mask is
-// cleared lazily when it first gains a requestor this cycle.
-inline void
-Flat2dFabric::collectRequest(std::uint32_t i, std::uint32_t o)
-{
-    sim_assert(o < spec_.radix, "request to bad output %u", o);
-    if (holder_[o] != kNoRequest)
-        return; // busy output: request loses this cycle
-    if (!contended_[o]) {
-        contended_.set(o);
-        want_[o].clear();
-    }
-    want_[o].set(i);
-}
-
 const BitVec &
 Flat2dFabric::arbitrate(std::span<const std::uint32_t> req)
 {
     sim_assert(req.size() == spec_.radix, "bad request vector");
-    grant_.clear();
-    contended_.clear();
-
-    bool any_req = false;
-    for (std::uint32_t i = 0; i < spec_.radix; ++i) {
-        if (req[i] != kNoRequest) {
-            any_req = true;
-            collectRequest(i, req[i]);
-        }
-    }
-    return finishArbitrate(req, any_req);
+    std::size_t n = 0;
+    for (std::uint32_t i = 0; i < spec_.radix; ++i)
+        if (req[i] != kNoRequest)
+            active_[n++] = i;
+    return arbitrateActive(req, std::span(active_).first(n));
 }
 
 const BitVec &
@@ -70,38 +51,13 @@ Flat2dFabric::arbitrateActive(std::span<const std::uint32_t> req,
 {
     sim_assert(req.size() == spec_.radix, "bad request vector");
     grant_.clear();
-    contended_.clear();
-
-    // active is ascending, so columns fill in the same order as the
-    // dense scan above — the arbiter outcomes are bit-identical.
-    for (std::uint32_t i : active) {
-        sim_assert(i < spec_.radix && req[i] != kNoRequest,
-                   "active list entry %u has no request", i);
-        collectRequest(i, req[i]);
-    }
-    return finishArbitrate(req, !active.empty());
-}
-
-const BitVec &
-Flat2dFabric::finishArbitrate(std::span<const std::uint32_t> req,
-                              bool any_req)
-{
-    (void)req; // used by the HIRISE_CHECK build only
     // The scheduler runs — and advances its per-call state — exactly
     // when some input requested, even if every request lost to a busy
-    // output (contended_ empty). Those are precisely the cycles the
-    // event core arbitrates, so dense stepping matches it by gating
-    // here instead of calling unconditionally.
-    if (any_req) {
-        sched_->match(contended_, want_, winner_);
-        contended_.forEachSet([this](std::uint32_t o) {
-            std::uint32_t w = winner_[o];
-            if (w == arb::CrossbarScheduler::kNone)
-                return;
-            holder_[o] = w;
-            grant_.set(w);
-        });
-    }
+    // output. Those are precisely the cycles the event core
+    // arbitrates, so dense stepping matches it by gating here instead
+    // of calling unconditionally.
+    if (!active.empty())
+        sched_->schedule(req, active, holder_, grant_);
     // One guard per arbitrate, not per grant: the loop stays clean
     // and the counter batches via popcount.
     if (obs::on()) [[unlikely]]

@@ -6,12 +6,12 @@
  * its physical model differs.
  *
  * The grant decision is a pluggable strategy (arb::CrossbarScheduler,
- * selected by spec.arb): the fabric bins requests into per-output
- * columns and the scheduler — LRG matrix arbiters, iSLIP, PIM, or a
- * wavefront allocator — turns the columns into a matching. The
- * scheduler runs only on cycles with at least one request, which is
- * exactly the set of cycles the event-driven simulator arbitrates, so
- * stateful schedulers stay bit-identical across stepping modes.
+ * selected by spec.arb): the fabric hands the cycle's request list and
+ * its holder table to the scheduler — LRG matrix arbiters, iSLIP, PIM,
+ * or a wavefront allocator — which grants a matching. The scheduler
+ * runs only on cycles with at least one request, which is exactly the
+ * set of cycles the event-driven simulator arbitrates, so stateful
+ * schedulers stay bit-identical across stepping modes.
  */
 
 #ifndef HIRISE_FABRIC_FLAT2D_HH
@@ -42,18 +42,11 @@ class Flat2dFabric : public Fabric
     void load(snap::Reader &r) override;
 
   private:
-    void collectRequest(std::uint32_t i, std::uint32_t o);
-    const BitVec &finishArbitrate(std::span<const std::uint32_t> req,
-                                  bool any_req);
-
-    /** Grant-decision strategy for the collected columns. */
+    /** Grant-decision strategy for the request list. */
     std::unique_ptr<arb::CrossbarScheduler> sched_;
     std::vector<std::uint32_t> holder_; //!< per output; kNoRequest=free
-
-    // -- per-cycle scratch (preallocated; zero steady-state alloc) ---
-    std::vector<BitVec> want_; //!< requestor mask per output column
-    BitVec contended_;         //!< outputs with >= 1 requestor
-    std::vector<std::uint32_t> winner_; //!< scheduler out-params
+    /** arbitrate()'s request list, built from the dense vector. */
+    std::vector<std::uint32_t> active_;
 };
 
 } // namespace hirise::fabric

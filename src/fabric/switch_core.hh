@@ -13,6 +13,15 @@
  * their queues, what a data cycle moves. Under HIRISE_CHECK every
  * grant set is checked to be a matching, and after each transfer the
  * free-output set to equal the fabric's !outputBusy.
+ *
+ * Parking is opt-in: a pick that fails may name, with parkOn(i, o),
+ * the outputs whose change could make it succeed. The input then
+ * leaves the waiting set until one of them is freed (a release or a
+ * forced break), the engine signals a change on one (wakeOutput), or
+ * the input is woken (wake). An engine parks only where a failed pick
+ * has no side effects and nothing else can turn it into a request;
+ * under HIRISE_CHECK every parked input is re-picked each cycle and
+ * must still fail (docs/HOTPATH.md "Closed-loop engines").
  */
 
 #ifndef HIRISE_FABRIC_SWITCH_CORE_HH
@@ -50,6 +59,8 @@ class SwitchCore
         req_ = std::span(slots_).first(n);
         held_ = std::span(slots_).subspan(n, n);
         active_ = std::span(slots_).last(n);
+        parkWords_ = waiting_.numWords();
+        park_.assign((std::size_t(n) + 1) * parkWords_, 0);
     }
 
     Fabric &fabric() { return *fabric_; }
@@ -62,16 +73,71 @@ class SwitchCore
     bool connected(std::uint32_t i) const { return connected_[i]; }
     /** Output held by connected input @p i. */
     std::uint32_t heldOutput(std::uint32_t i) const { return held_[i]; }
-    /** No input waits or holds a connection. */
-    bool quiescent() const { return waiting_.none() && connected_.none(); }
+    /** Input @p i is parked: it has work but is not offered to pick
+     *  until an output it parked on changes or it is woken. */
+    bool
+    parked(std::uint32_t i) const
+    {
+        return testBit(parkedSet(), i);
+    }
+    /** No input waits, is parked or holds a connection. */
+    bool
+    quiescent() const
+    {
+        if (!waiting_.none() || !connected_.none())
+            return false;
+        if (!parking_)
+            return true;
+        const BitVec::Word *p = parkedSet();
+        return std::all_of(p, p + parkWords_,
+                           [](BitVec::Word w) { return w == 0; });
+    }
 
     /** Input @p i has work: it requests from the next arbitration on,
-     *  unless it holds a connection (then release() re-wakes it). */
+     *  unless it holds a connection (then release() re-wakes it). A
+     *  parked input is re-armed. */
     void
     wake(std::uint32_t i)
     {
-        if (!connected_[i])
-            waiting_.set(i);
+        if (connected_[i])
+            return;
+        waiting_.set(i);
+        if (parking_)
+            clearBit(parkedSet(), i);
+    }
+
+    /**
+     * Called by a failing pick of input @p i (one that returns
+     * kNoRequest) for each output @p o whose change could turn the
+     * failure into a request. The input leaves the waiting set once
+     * the pick returns and is re-armed when @p o is freed, on
+     * wakeOutput(o), or on wake(i). A pick that succeeds must not
+     * call it.
+     */
+    void
+    parkOn(std::uint32_t i, std::uint32_t o)
+    {
+        setBit(parkRow(o), i);
+        parkPending_ = true;
+    }
+
+    /** Something a pick reads about output @p o changed (e.g. its
+     *  downstream buffer freed a slot): re-arm the inputs parked on
+     *  it. */
+    void
+    wakeOutput(std::uint32_t o)
+    {
+        BitVec::Word *row = parkRow(o);
+        BitVec::Word *parked = parkedSet();
+        BitVec::Word *wait = waiting_.words();
+        for (std::uint32_t k = 0; k < parkWords_; ++k) {
+            // Row bits of inputs re-armed some other way are stale;
+            // the parked set filters them.
+            const BitVec::Word w = row[k] & parked[k];
+            row[k] = 0;
+            parked[k] &= ~w;
+            wait[k] |= w;
+        }
     }
 
     /**
@@ -86,11 +152,18 @@ class SwitchCore
     void
     arbitrate(Pick &&pick, OnGrant &&on_grant)
     {
+#ifdef HIRISE_CHECK_ENABLED
+        checkParked(pick);
+#endif
         std::size_t n = 0;
         waiting_.forEachSet([&](std::uint32_t i) {
             const std::uint32_t out = pick(i);
-            if (out == kNoRequest)
+            if (out == kNoRequest) {
+                if (parkPending_)
+                    park(i);
                 return;
+            }
+            sim_assert(!parkPending_, "input %u parked on a request", i);
             req_[i] = out;
             active_[n++] = i;
         });
@@ -107,14 +180,17 @@ class SwitchCore
     /** The dense reference form of arbitrate(): the free-output set is
      *  rebuilt from the fabric, every unconnected input is offered to
      *  @p pick, and Fabric::arbitrate sees the full request vector on
-     *  every cycle. Only the grant bookkeeping is shared. */
+     *  every cycle. Nothing parks. Only the grant bookkeeping is
+     *  shared. */
     template <typename Pick, typename OnGrant>
     void
     arbitrateDense(Pick &&pick, OnGrant &&on_grant)
     {
         resyncFreeOutputs();
-        for (std::uint32_t i = 0; i < radix(); ++i)
+        for (std::uint32_t i = 0; i < radix(); ++i) {
             req_[i] = connected_[i] ? kNoRequest : pick(i);
+            parkPending_ = false;
+        }
         applyGrants(fabric_->arbitrate(req_), on_grant);
         std::fill(req_.begin(), req_.end(), kNoRequest);
     }
@@ -184,9 +260,73 @@ class SwitchCore
         connected_.assign(i, conn);
         held_[i] = held_output;
         waiting_.assign(i, !conn && has_work);
+        clearBit(parkedSet(), i);
     }
 
   private:
+    // Bit i of a word array: a parking row or the parked set.
+    static bool
+    testBit(const BitVec::Word *w, std::uint32_t i)
+    {
+        return (w[i / BitVec::kWordBits] >> (i % BitVec::kWordBits)) & 1u;
+    }
+    static void
+    setBit(BitVec::Word *w, std::uint32_t i)
+    {
+        w[i / BitVec::kWordBits] |= BitVec::Word(1)
+                                    << (i % BitVec::kWordBits);
+    }
+    static void
+    clearBit(BitVec::Word *w, std::uint32_t i)
+    {
+        w[i / BitVec::kWordBits] &=
+            ~(BitVec::Word(1) << (i % BitVec::kWordBits));
+    }
+
+    BitVec::Word *
+    parkRow(std::uint32_t o)
+    {
+        return park_.data() + std::size_t(o) * parkWords_;
+    }
+    BitVec::Word *
+    parkedSet()
+    {
+        return park_.data() + std::size_t(radix()) * parkWords_;
+    }
+    const BitVec::Word *
+    parkedSet() const
+    {
+        return park_.data() + std::size_t(radix()) * parkWords_;
+    }
+
+    /** Waiting input @p i 's pick failed and named its outputs. */
+    void
+    park(std::uint32_t i)
+    {
+        parkPending_ = false;
+        parking_ = true;
+        waiting_.reset(i);
+        setBit(parkedSet(), i);
+    }
+
+#ifdef HIRISE_CHECK_ENABLED
+    /** A parked input must still fail: nothing it parked on changed. */
+    template <typename Pick>
+    void
+    checkParked(Pick &pick)
+    {
+        for (std::uint32_t i = 0; i < radix(); ++i) {
+            if (!parked(i))
+                continue;
+            sim_assert(!waiting_[i] && !connected_[i],
+                       "parked input %u waits or holds", i);
+            sim_assert(pick(i) == kNoRequest,
+                       "parked input %u would be granted", i);
+            parkPending_ = false;
+        }
+    }
+#endif
+
     template <typename OnGrant>
     void
     applyGrants(const BitVec &grant, OnGrant &on_grant)
@@ -212,6 +352,8 @@ class SwitchCore
         free_.set(held_[i]);
         connected_.reset(i);
         waiting_.assign(i, has_work);
+        if (parking_)
+            wakeOutput(held_[i]);
     }
 
     std::unique_ptr<Fabric> fabric_;
@@ -226,6 +368,13 @@ class SwitchCore
     std::span<std::uint32_t> req_;    //!< kNoRequest between cycles
     std::span<std::uint32_t> held_;   //!< output per connected input
     std::span<std::uint32_t> active_; //!< requesting inputs, ascending
+    // Parking state, one allocation: per output, a row of the inputs
+    // parked on it (bits of re-armed inputs may linger), then the set
+    // of parked inputs.
+    std::vector<BitVec::Word> park_;
+    std::uint32_t parkWords_ = 0; //!< words per row
+    bool parking_ = false;     //!< some input has parked
+    bool parkPending_ = false; //!< the current pick called parkOn
 };
 
 } // namespace hirise::fabric

@@ -46,7 +46,7 @@ GraphNoc::GraphNoc(std::shared_ptr<Topology> topo,
     sim_assert(cores_.back().radix() == radix_,
                "router fabric radix does not match the topology");
     fifo_.resize(std::size_t(routers) * radix_);
-    reserved_.assign(std::size_t(routers) * radix_, 0);
+    downOcc_.assign(std::size_t(routers) * radix_, 0);
     conn_.resize(std::size_t(routers) * radix_);
     source_.resize(nodes_);
     queued_.resize(nodes_);
@@ -65,6 +65,19 @@ GraphNoc::GraphNoc(std::shared_ptr<Topology> topo,
             if (link_[portIdx(ri, port)].valid)
                 wireMm_[portIdx(ri, port)] = static_cast<float>(
                     topo_->linkLengthMm(ri, port));
+        }
+    }
+    // Links are bidirectional port pairs, so an input's link names the
+    // upstream output that a pop returns a credit to.
+    for (std::uint32_t ri = 0; ri < routers; ++ri) {
+        for (std::uint32_t port = 0; port < radix_; ++port) {
+            const PortRef &far = link_[portIdx(ri, port)];
+            if (!far.valid)
+                continue;
+            const PortRef &back = link_[portIdx(far.router, far.port)];
+            if (!back.valid || back.router != ri || back.port != port)
+                fatal("%s link %u:%u is not bidirectional",
+                      topo_->name().c_str(), ri, port);
         }
     }
     route_.resize(std::size_t(routers) * nodes_);
@@ -113,10 +126,9 @@ GraphNoc::pickPort(std::uint32_t router, std::uint32_t dst_node) const
     // destination node's layer on equal occupancy, then the lowest.
     std::uint32_t best = fabric::kNoRequest;
     std::uint64_t best_score = ~0ull;
+    const std::uint32_t *occ = &downOcc_[portIdx(router, 0)];
     for (std::uint32_t l = 0; l < layers_; ++l, port += portsPerLayer_) {
-        const PortRef &far = link_[portIdx(router, port)];
-        const std::size_t p = portIdx(far.router, far.port);
-        std::uint64_t occupancy = fifo_[p].size() + reserved_[p];
+        const std::uint64_t occupancy = occ[port];
         if (occupancy >= fifoPkts_)
             continue;
         std::uint64_t score = occupancy * 2 + (l != nodeLayer_[dst_node]);
@@ -135,7 +147,7 @@ GraphNoc::step()
     queued_.forEachSet([&](std::uint32_t n) {
         const PortRef &at = attach_[n];
         const std::size_t p = portIdx(at.router, at.port);
-        if (fifo_[p].size() + reserved_[p] < fifoPkts_) {
+        if (fifo_[p].size() < fifoPkts_) { // no link feeds a node port
             enqueue(at.router, at.port, source_[n].front());
             source_[n].pop_front();
             if (source_[n].empty())
@@ -145,26 +157,42 @@ GraphNoc::step()
 
     // 2. Per-router arbitration. Routers go in index order: a grant
     //    reserves a downstream slot that later routers' credit checks
-    //    see.
+    //    see. A blocked input parks on its route's port on every
+    //    layer; a pop returns a credit to the upstream router's output,
+    //    which re-arms the inputs parked there (this cycle if that
+    //    router comes later, next cycle otherwise, as a re-pick would
+    //    see).
     for (std::uint32_t ri = 0; ri < cores_.size(); ++ri) {
         fabric::SwitchCore &core = cores_[ri];
         core.arbitrate(
             [&](std::uint32_t in) {
-                std::uint32_t out =
-                    pickPort(ri, fifo_[portIdx(ri, in)].front().dstNode);
-                if (out != fabric::kNoRequest && !core.outputFree(out))
-                    out = fabric::kNoRequest;
-                return out;
+                const std::uint32_t dst =
+                    fifo_[portIdx(ri, in)].front().dstNode;
+                const std::uint32_t out = pickPort(ri, dst);
+                if (out != fabric::kNoRequest && core.outputFree(out))
+                    return out;
+                // An ejection is one output; a hop has one per layer.
+                std::uint32_t port = route_[std::size_t(ri) * nodes_ + dst];
+                const std::uint32_t outs =
+                    link_[portIdx(ri, port)].valid ? layers_ : 1;
+                for (std::uint32_t l = 0; l < outs;
+                     ++l, port += portsPerLayer_)
+                    core.parkOn(in, port);
+                return fabric::kNoRequest;
             },
             [&](std::uint32_t in, std::uint32_t out) {
                 RingBuffer<QPkt> &q = fifo_[portIdx(ri, in)];
                 Conn &c = conn_[portIdx(ri, in)];
                 c.pkt = q.front();
                 q.pop_front();
+                const PortRef &up = link_[portIdx(ri, in)];
+                if (up.valid) {
+                    --downOcc_[portIdx(up.router, up.port)];
+                    cores_[up.router].wakeOutput(up.port);
+                }
                 c.flitsLeft = c.pkt.lenFlits;
-                const PortRef &far = link_[portIdx(ri, out)];
-                if (far.valid)
-                    ++reserved_[portIdx(far.router, far.port)];
+                if (link_[portIdx(ri, out)].valid)
+                    ++downOcc_[portIdx(ri, out)];
             });
     }
 
@@ -179,9 +207,11 @@ GraphNoc::step()
             core.release(in, !fifo_[portIdx(ri, in)].empty());
             const PortRef &far = link_[portIdx(ri, out)];
             if (far.valid) {
-                std::uint32_t &res = reserved_[portIdx(far.router, far.port)];
-                sim_assert(res > 0, "hand-off without reservation");
-                --res;
+                // The packet fills the slot its grant reserved: the
+                // far FIFO holds fewer than the link's occupancy.
+                sim_assert(fifo_[portIdx(far.router, far.port)].size() <
+                               downOcc_[portIdx(ri, out)],
+                           "hand-off without reservation");
                 QPkt pkt = c.pkt;
                 ++pkt.hops;
                 pkt.linkMm += wireMm_[portIdx(ri, out)];
@@ -206,9 +236,10 @@ GraphNoc::step()
 GraphResult
 GraphNoc::run(double rate, net::Cycle warmup, net::Cycle measure)
 {
+    const std::uint64_t inject_thr = bernoulliThreshold(rate);
     auto inject = [&]() {
         for (std::uint32_t n = 0; n < nodes_; ++n) {
-            if (!rng_.bernoulli(rate))
+            if (!rng_.bernoulliThr(inject_thr))
                 continue;
             QPkt p;
             std::uint32_t d = static_cast<std::uint32_t>(

@@ -22,7 +22,9 @@
  * call. Each router's core tracks its waiting and connected inputs
  * and free outputs, and a bitset of nodes with a queued packet lets a
  * step skip idle nodes; FIFOs are ring buffers, so a step does not
- * allocate.
+ * allocate. An input blocked on its hop parks on the hop's outputs
+ * (one per layer) until one is freed or a credit returns on it,
+ * instead of being re-picked every cycle.
  */
 
 #ifndef HIRISE_NOC_GRAPH_NOC_HH
@@ -117,8 +119,11 @@ class GraphNoc
     void
     enqueue(std::uint32_t router, std::uint32_t port, const QPkt &pkt)
     {
-        fifo_[portIdx(router, port)].push_back(pkt);
-        cores_[router].wake(port);
+        RingBuffer<QPkt> &q = fifo_[portIdx(router, port)];
+        q.push_back(pkt);
+        // A packet behind a head leaves the input's pick unchanged.
+        if (q.size() == 1)
+            cores_[router].wake(port);
     }
 
     /** Output port at @p router for a packet to @p dst_node: the
@@ -141,7 +146,9 @@ class GraphNoc
     std::uint32_t fifoPkts_;
     std::vector<fabric::SwitchCore> cores_; //!< per router
     std::vector<RingBuffer<QPkt>> fifo_;    //!< [portIdx], input FIFO
-    std::vector<std::uint32_t> reserved_;   //!< [portIdx], slots promised
+    /** [portIdx] of an output with a link: packets in the far input's
+     *  FIFO plus those granted to it and still on the way. */
+    std::vector<std::uint32_t> downOcc_;
     std::vector<Conn> conn_;                //!< [portIdx], held packet
     std::vector<RingBuffer<QPkt>> source_; //!< per node
     BitVec queued_; //!< nodes with a non-empty source queue

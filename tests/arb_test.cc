@@ -586,7 +586,7 @@ struct SchedRig
     }
 
     const std::vector<std::uint32_t> &
-    run(CrossbarScheduler &s)
+    run(ColumnScheduler &s)
     {
         s.match(contended, want, winner);
         return winner;

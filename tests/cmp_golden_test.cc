@@ -67,11 +67,9 @@ struct CmpOut
     std::uint64_t coreDigest;
 };
 
-CmpOut
-runCmp(Net net, std::size_t mix)
+std::unique_ptr<cmp::CmpSystem>
+makeSystem(Net net, std::size_t mix, cmp::SystemConfig cfg)
 {
-    cmp::SystemConfig cfg;
-    cfg.seed = 11;
     auto per_core = cmp::assignMix(cmp::paperMixes()[mix], cfg.numTiles);
     std::unique_ptr<cmp::CmpSystem> sys;
     switch (net) {
@@ -98,7 +96,12 @@ runCmp(Net net, std::size_t mix)
             cfg, std::move(per_core));
         break;
     }
-    cmp::SystemResult r = sys->run(1000, 5000);
+    return sys;
+}
+
+CmpOut
+summarize(const cmp::SystemResult &r)
+{
     CmpOut o{r.totalIpc, r.avgMissLatencyNs, r.networkMessages,
              0,          0,                  0,
              kFnvBasis};
@@ -111,6 +114,26 @@ runCmp(Net net, std::size_t mix)
         o.coreDigest = fnv1a(c.stallCycles, o.coreDigest);
     }
     return o;
+}
+
+CmpOut
+runCmp(Net net, std::size_t mix)
+{
+    cmp::SystemConfig cfg;
+    cfg.seed = 11;
+    return summarize(makeSystem(net, mix, cfg)->run(1000, 5000));
+}
+
+void
+expectCmp(const CmpOut &o, const CmpOut &want)
+{
+    EXPECT_EQ(o.totalIpc, want.totalIpc);
+    EXPECT_EQ(o.avgMissLatencyNs, want.avgMissLatencyNs);
+    EXPECT_EQ(o.networkMessages, want.networkMessages);
+    EXPECT_EQ(o.retired, want.retired);
+    EXPECT_EQ(o.misses, want.misses);
+    EXPECT_EQ(o.stalls, want.stalls);
+    EXPECT_EQ(o.coreDigest, want.coreDigest);
 }
 
 struct CmpGolden
@@ -157,14 +180,7 @@ class CmpGoldenTest : public ::testing::TestWithParam<CmpGolden>
 TEST_P(CmpGoldenTest, FixedSeedSystemIsBitIdentical)
 {
     const CmpGolden &g = GetParam();
-    CmpOut o = runCmp(g.net, g.mix);
-    EXPECT_EQ(o.totalIpc, g.want.totalIpc);
-    EXPECT_EQ(o.avgMissLatencyNs, g.want.avgMissLatencyNs);
-    EXPECT_EQ(o.networkMessages, g.want.networkMessages);
-    EXPECT_EQ(o.retired, g.want.retired);
-    EXPECT_EQ(o.misses, g.want.misses);
-    EXPECT_EQ(o.stalls, g.want.stalls);
-    EXPECT_EQ(o.coreDigest, g.want.coreDigest);
+    expectCmp(runCmp(g.net, g.mix), g.want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -172,6 +188,40 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CmpGolden> &info) {
         return info.param.label;
     });
+
+TEST(CmpGolden, SecondRunAccumulatesBitIdentically)
+{
+    // Core counters and miss latencies are cumulative over run() calls
+    // on one system; the second run continues from the first one's
+    // core cycle (its end, warmup + cycles, lies past it) and counts
+    // from the start. Frequent demand loads and a small window keep
+    // cores blocked and window-full across the warmup boundary and at
+    // both run ends, on a central switch and on the butterfly.
+    cmp::SystemConfig cfg;
+    cfg.seed = 23;
+    cfg.blockingFraction = 0.3;
+    cfg.maxOutstanding = 6;
+
+    auto hr = makeSystem(Net::CentralHiRise, 7, cfg);
+    expectCmp(summarize(hr->run(300, 1200)),
+              {20.866666666666667, 59.004172015404365, 4760,
+               25040, 1523, 64194,
+               14303103917420664460ULL});
+    expectCmp(summarize(hr->run(1700, 1000)),
+              {53.119000000000014, 57.942438271604935, 11280,
+               53119, 3247, 126873,
+               15094691229351342989ULL});
+
+    auto fb = makeSystem(Net::Butterfly, 3, cfg);
+    expectCmp(summarize(fb->run(300, 1200)),
+              {38.706666666666671, 51.606741573033709, 4446,
+               46448, 1604, 53477,
+               6942346161049194944ULL});
+    expectCmp(summarize(fb->run(1700, 1000)),
+              {91.202999999999989, 51.929621520175161, 9922,
+               91203, 3194, 107807,
+               2151716709532504992ULL});
+}
 
 // -- MsgSwitch alone ---------------------------------------------------
 

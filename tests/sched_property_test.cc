@@ -61,7 +61,7 @@ struct ReqMatrix
     }
 
     std::vector<std::uint32_t>
-    runThrough(CrossbarScheduler &s) const
+    runThrough(ColumnScheduler &s) const
     {
         std::vector<std::uint32_t> winner(n, kNoWin);
         if (contended.count())
@@ -153,10 +153,10 @@ TEST(SchedProperty, IterativeSchedulersAreValidAndMaximal)
         // Sweep densities from sparse to nearly full.
         m.randomize(key, tick, 1 + trial % 8, 8);
         std::uint32_t best = m.maxCardinality();
-        for (CrossbarScheduler *s :
-             {static_cast<CrossbarScheduler *>(&islip),
-              static_cast<CrossbarScheduler *>(&pim),
-              static_cast<CrossbarScheduler *>(&wf)}) {
+        for (ColumnScheduler *s :
+             {static_cast<ColumnScheduler *>(&islip),
+              static_cast<ColumnScheduler *>(&pim),
+              static_cast<ColumnScheduler *>(&wf)}) {
             auto winner = m.runThrough(*s);
             m.expectValidMatching(winner);
             m.expectMaximal(winner);
@@ -175,26 +175,53 @@ TEST(SchedProperty, LrgIsValidOnDegreeOneMatrices)
     std::uint64_t tick = 0;
 
     LrgScheduler lrg(n);
+    // The column form: ascending columns, pick then demote.
+    std::vector<MatrixArbiter> ref(n, MatrixArbiter(n));
     ReqMatrix m(n);
+    std::vector<std::uint32_t> req(n), active, holder(n);
+    BitVec grant(n);
     for (int trial = 0; trial < 64; ++trial) {
         // Degree-1: each input requests at most one output — the
-        // invariant the fabric's collect pass guarantees for LRG.
+        // request list the fabric hands schedule(), with every output
+        // free.
         m.contended.clear();
         for (auto &w : m.want)
             w.clear();
+        active.clear();
         for (std::uint32_t i = 0; i < n; ++i) {
             auto d = counterBelow(counterDrawKeyed(key, tick++), n + 4);
+            req[i] = kNoWin;
             if (d >= n)
                 continue; // idle input
-            m.contended.set(static_cast<std::uint32_t>(d));
+            req[i] = static_cast<std::uint32_t>(d);
+            active.push_back(i);
+            m.contended.set(req[i]);
             m.want[d].set(i);
         }
-        auto winner = m.runThrough(lrg);
-        m.expectValidMatching(winner);
+        std::fill(holder.begin(), holder.end(), kNoWin);
+        grant.clear();
+        if (!active.empty())
+            lrg.schedule(req, active, holder, grant);
+        // holder[o] is the winner of column o; each grant is recorded
+        // there and nowhere else.
+        m.expectValidMatching(holder);
+        std::uint32_t granted = 0;
+        for (std::uint32_t o = 0; o < n; ++o) {
+            if (holder[o] == kNoWin)
+                continue;
+            EXPECT_TRUE(grant[holder[o]]) << "o=" << o;
+            ++granted;
+        }
+        EXPECT_EQ(grant.count(), granted);
+        m.contended.forEachSet([&](std::uint32_t o) {
+            const std::uint32_t w = ref[o].pick(m.want[o]);
+            EXPECT_EQ(holder[o], w) << "o=" << o;
+            ref[o].update(w);
+        });
         // Degree-1 columns are independent: every contended column
         // must be served, which is the maximum matching here.
-        EXPECT_EQ(m.matchSize(winner), m.contended.count());
-        EXPECT_EQ(m.matchSize(winner), m.maxCardinality());
+        EXPECT_EQ(m.matchSize(holder), m.contended.count());
+        EXPECT_EQ(m.matchSize(holder), m.maxCardinality());
     }
 }
 
