@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark suite for the campaign engine: the persistent
- * work-stealing pool against the old spawn-per-call fork-join
+ * one-FIFO pool against the old spawn-per-call fork-join
  * parallelMap, cold- vs warm-cache load sweeps, and serial vs
  * speculative saturation search. These quantify the campaign-layer
  * claims in docs/HOTPATH.md; bench_microperf covers the per-cycle

@@ -1,13 +1,9 @@
 /**
  * @file
- * Parallel map over the persistent work-stealing pool (see
- * thread_pool.hh). Formerly a fork-join helper that spawned and
- * joined fresh std::threads per call; at campaign scale (thousands of
- * independent simulation runs per figure suite) that start-up cost
- * dominated, so parallelMap is now a thin wrapper that submits one
- * task per item to a shared pool and helps execute tasks while
- * waiting. Results land in index-order slots, so output is
- * bit-identical for any thread count or execution order.
+ * Parallel map over the persistent campaign pool (see thread_pool.hh):
+ * one task per item, helping execute queued tasks while waiting.
+ * Results land in index-order slots, so output is bit-identical for
+ * any thread count or execution order.
  */
 
 #ifndef HIRISE_COMMON_PARALLEL_HH
@@ -47,28 +43,35 @@ parallelMap(const std::vector<T> &items, Fn fn,
         return out;
     }
 
+    // Each task stores its own exception in a caller-owned slot
+    // instead of in its future, so the worker is done with the
+    // exception object before the caller can see the task finish.
+    // (Through the future, the worker's shared state could drop the
+    // last reference after the caller read the exception; TSan
+    // reports that as a race, as libstdc++'s exception refcounts are
+    // invisible to it.)
     ThreadPool &p = pool ? *pool : ThreadPool::global();
+    std::vector<std::exception_ptr> errors(items.size());
     std::vector<std::future<void>> futs;
     futs.reserve(items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
-        futs.push_back(
-            p.submit([&items, &out, &fn, i] { out[i] = fn(items[i]); }));
+        futs.push_back(p.submit([&items, &out, &errors, &fn, i] {
+            try {
+                out[i] = fn(items[i]);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }));
     }
 
     // Wait on every future (helping, so nested parallelMap calls on
-    // an exhausted pool still make progress) and surface the lowest-
-    // index failure once all tasks have quiesced.
-    std::exception_ptr first_error;
-    for (auto &f : futs) {
-        try {
-            waitHelping(p, f);
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
+    // an exhausted pool still make progress), then surface the
+    // lowest-index failure.
+    for (auto &f : futs)
+        waitHelping(p, f);
+    for (const auto &e : errors)
+        if (e)
+            std::rethrow_exception(e);
     return out;
 }
 

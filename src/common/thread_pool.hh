@@ -1,37 +1,32 @@
 /**
  * @file
- * Persistent work-stealing thread pool for campaign-scale experiment
- * execution. One pool outlives thousands of simulation tasks, so the
- * spawn/join cost of the former fork-join parallelMap (a fresh
- * std::thread per worker per call) is paid once per process instead
- * of once per sweep.
+ * Persistent thread pool for campaign-scale experiment execution. One
+ * pool outlives thousands of simulation tasks, so thread start-up is
+ * paid once per process instead of once per sweep.
  *
- * Design:
- *  - per-worker deques: a worker pushes/pops its own deque LIFO (hot
- *    caches, nested submits stay local); external submitters go
- *    through a shared injector queue.
- *  - steal-half: an idle worker takes half of a victim's deque FIFO,
- *    amortizing steal traffic under fan-out imbalance.
+ * Design: one mutex-guarded FIFO and one condition variable. Every
+ * submit, from a worker or from outside, appends to the queue; workers
+ * and helping waiters pop the oldest task, and idle workers sleep on
+ * the condition variable. The tasks are whole simulations with no
+ * ordering between them, so one queue serves them.
  *  - futures + exception propagation: submit() returns a real
  *    std::future; an exception thrown by the task is rethrown by
  *    future::get() on the waiter's thread.
  *  - helping waits: waitHelping() runs queued tasks while blocked on
  *    a future, so nested submits cannot deadlock even on a 1-thread
  *    pool.
- *  - graceful shutdown: the destructor stops intake, wakes everyone,
- *    joins the workers, and drains any stragglers on the destructing
- *    thread, so every submitted task runs exactly once (no broken
- *    promises).
+ *  - graceful shutdown: the destructor lets the workers empty the
+ *    queue, joins them, and drains any stragglers on the destructing
+ *    thread, so every submitted task runs exactly once.
  *
  * Determinism: the pool never reorders *results* — callers index
  * output slots by task id — so simulation campaigns are bit-identical
- * for any thread count or steal interleaving (see tests/campaign_test).
+ * for any thread count or interleaving (see tests/campaign_test).
  */
 
 #ifndef HIRISE_COMMON_THREAD_POOL_HH
 #define HIRISE_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -66,8 +61,7 @@ class ThreadPool
     }
 
     /** Enqueue @p fn; the returned future carries its result or
-     *  exception. Safe to call from worker threads (nested submit
-     *  lands on the submitting worker's own deque). */
+     *  exception. Safe to call from worker threads. */
     template <typename Fn>
     auto
     submit(Fn &&fn) -> std::future<std::invoke_result_t<std::decay_t<Fn>>>
@@ -80,17 +74,13 @@ class ThreadPool
         return fut;
     }
 
-    /** Dequeue and run one pending task on the calling thread, if
-     *  any. Lets waiters (and tests) make progress without a worker. */
+    /** Dequeue and run the oldest queued task on the calling thread,
+     *  if any. Lets waiters (and tests) make progress without a
+     *  worker. */
     bool tryRunOne();
 
-    /** Submitted-but-unfinished task count (approximate under
-     *  concurrency; exact once the pool is quiescent). */
-    std::uint64_t
-    pendingTasks() const
-    {
-        return pending_.load(std::memory_order_relaxed);
-    }
+    /** Tasks submitted but not yet started. */
+    std::uint64_t pendingTasks() const;
 
     /** Is the calling thread one of this pool's workers? */
     bool onWorkerThread() const;
@@ -105,27 +95,14 @@ class ThreadPool
     static void setGlobalThreads(unsigned threads);
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mu;
-        std::deque<Task> q;
-    };
-
     void push(Task t);
-    /** Raw enqueue of already-counted tasks (steal-half re-queue). */
-    void requeueLocal(unsigned self, std::deque<Task> &&batch);
-    bool acquire(unsigned self, Task &out);
-    void workerLoop(unsigned idx);
+    void workerLoop();
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::mutex injectMu_;
-    std::deque<Task> inject_;
-
-    std::vector<std::thread> workers_;
-    std::atomic<std::uint64_t> pending_{0};
-    std::atomic<bool> stop_{false};
-    std::mutex sleepMu_;
+    mutable std::mutex mu_;
     std::condition_variable cv_;
+    std::deque<Task> queue_; //!< guarded by mu_
+    bool stop_ = false;      //!< guarded by mu_
+    std::vector<std::thread> workers_;
 };
 
 /**

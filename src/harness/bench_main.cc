@@ -79,9 +79,6 @@ benchMain(int argc, char **argv,
     bool want_trace = !trace_path.empty() || !trace_chrome_path.empty();
     bool want_metrics =
         !metrics_path.empty() || !metrics_csv_path.empty();
-    if ((want_trace || want_metrics) && !obs::compiledIn())
-        warn("observability requested but this build has "
-             "HIRISE_TRACE=OFF; outputs will be empty");
     auto &tracer = obs::CycleTracer::global();
     if (want_trace)
         tracer.enable(trace_capacity);

@@ -7,7 +7,6 @@
 
 namespace hirise::obs {
 
-#ifndef HIRISE_TRACE_DISABLED
 namespace detail {
 std::atomic<bool> g_obsOn{false};
 } // namespace detail
@@ -17,7 +16,6 @@ setEnabled(bool v)
 {
     detail::g_obsOn.store(v, std::memory_order_relaxed);
 }
-#endif
 
 namespace {
 

@@ -8,9 +8,7 @@
  * Cost model: instrumentation sites are guarded by obs::on(), a single
  * relaxed atomic-bool load plus a branch that is never taken in the
  * default (disabled) state, so tracing off costs nothing measurable on
- * the simulation hot path. Building with -DHIRISE_TRACE=OFF defines
- * HIRISE_TRACE_DISABLED and turns obs::on() into `constexpr false`,
- * removing every guarded site at compile time (the kill switch).
+ * the simulation hot path.
  *
  * The tracer is process-wide (CycleTracer::global()). Events carry the
  * current simulation cycle, published per worker thread via
@@ -33,16 +31,9 @@
 namespace hirise::obs {
 
 // -- master runtime guard for all hot-path instrumentation ------------
-#ifdef HIRISE_TRACE_DISABLED
-constexpr bool compiledIn() { return false; }
-constexpr bool on() { return false; }
-inline void setEnabled(bool) {}
-#else
 namespace detail {
 extern std::atomic<bool> g_obsOn;
 } // namespace detail
-
-constexpr bool compiledIn() { return true; }
 
 /** True iff observability (tracer and/or hot-path metrics) is live. */
 inline bool
@@ -52,7 +43,6 @@ on()
 }
 
 void setEnabled(bool v);
-#endif
 
 /** Event kinds; toString()/evFromString() define the wire names. */
 enum class Ev : std::uint8_t

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/parallel.hh"
-#include "common/random.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -17,24 +16,6 @@ runAtLoad(const SwitchSpec &spec, const SimConfig &base,
     cfg.injectionRate = load;
     NetworkSim sim(spec, cfg, make());
     return sim.run();
-}
-
-SimResult
-runAtLoadCached(const SwitchSpec &spec, const SimConfig &base,
-                const PatternFactory &make, double load, SimCache *cache)
-{
-    SimConfig cfg = base;
-    cfg.injectionRate = load;
-    auto pattern = make();
-    SimCache &c = cache ? *cache : SimCache::global();
-    std::uint64_t key = SimCache::key(spec, cfg, pattern->descriptor());
-    SimResult r;
-    if (c.lookup(key, &r))
-        return r;
-    NetworkSim sim(spec, cfg, std::move(pattern));
-    r = sim.run();
-    c.store(key, r);
-    return r;
 }
 
 std::vector<SimResult>
@@ -76,20 +57,24 @@ runPointsCached(const SwitchSpec &spec, const SimConfig &base,
     return results;
 }
 
+SimResult
+runAtLoadCached(const SwitchSpec &spec, const SimConfig &base,
+                const PatternFactory &make, double load, SimCache *cache)
+{
+    std::vector<SimResult> r =
+        runPointsCached(spec, base, make, {RunPoint{load, base.seed}},
+                        CampaignOptions{nullptr, cache});
+    return std::move(r.front());
+}
+
 std::vector<SweepPoint>
 loadSweep(const SwitchSpec &spec, const SimConfig &base,
           const PatternFactory &make, const std::vector<double> &loads,
           const CampaignOptions &opt)
 {
-    // Each point is an independent, self-seeded simulation; the shard
-    // seed (when enabled) depends only on (base seed, index), never on
-    // thread count or completion order.
     std::vector<RunPoint> pts(loads.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        pts[i].load = loads[i];
-        pts[i].seed =
-            opt.shardSeeds ? shardSeed(base.seed, i) : base.seed;
-    }
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        pts[i] = RunPoint{loads[i], base.seed};
     std::vector<SimResult> res =
         runPointsCached(spec, base, make, pts, opt);
     std::vector<SweepPoint> out(loads.size());

@@ -5,7 +5,7 @@
  * Figs 10/11.
  *
  * Campaign-scale runs (figure suites, seed sweeps, bisections) go
- * through the shared work-stealing pool (common/thread_pool.hh) and
+ * through the shared campaign pool (common/thread_pool.hh) and
  * the content-addressed result cache (sim/sim_cache.hh): every
  * evaluation is a pure function of (spec, cfg, pattern, seed), so
  * parallel and cached execution is bit-identical to serial execution.
@@ -36,10 +36,6 @@ struct CampaignOptions
     SimCache *cache = nullptr;
     /** Force a serial loop when 1 (parallelMap semantics). */
     unsigned maxThreads = 0;
-    /** Derive per-point seeds via shardSeed(base.seed, index) instead
-     *  of running every point on the same seed. Off by default so
-     *  published experiment numbers stay unchanged. */
-    bool shardSeeds = false;
 };
 
 struct SweepPoint
@@ -72,9 +68,8 @@ runPointsCached(const SwitchSpec &spec, const SimConfig &base,
 SimResult runAtLoad(const SwitchSpec &spec, const SimConfig &base,
                     const PatternFactory &make, double load);
 
-/** As runAtLoad, but memoized: serve from @p cache (null = the global
- *  cache) when the exact (spec, cfg, pattern, seed) point was already
- *  simulated, else run and store. */
+/** As runAtLoad, but memoized: a one-point runPointsCached through
+ *  @p cache (null = the global cache), run in place on a miss. */
 SimResult runAtLoadCached(const SwitchSpec &spec, const SimConfig &base,
                           const PatternFactory &make, double load,
                           SimCache *cache = nullptr);

@@ -103,33 +103,6 @@ TEST(Campaign, LoadSweepIsThreadCountInvariant)
     }
 }
 
-TEST(Campaign, ShardedSeedingIsThreadCountInvariant)
-{
-    const std::vector<double> loads{0.1, 0.1, 0.1, 0.1};
-    const auto spec = flat64();
-    const auto cfg = quickCfg();
-
-    std::vector<std::vector<sim::SweepPoint>> runs;
-    for (unsigned threads : {1u, 2u, 8u}) {
-        ThreadPool pool(threads);
-        sim::SimCache cache(64);
-        sim::CampaignOptions opt;
-        opt.pool = &pool;
-        opt.cache = &cache;
-        opt.shardSeeds = true;
-        runs.push_back(sim::loadSweep(spec, cfg, uniformFactory(64),
-                                      loads, opt));
-    }
-    // Shard seeds differ per index, so equal loads give different
-    // results within one run...
-    EXPECT_NE(runs[0][0].result.acceptedFlitsPerCycle,
-              runs[0][1].result.acceptedFlitsPerCycle);
-    // ...but each index is identical across thread counts.
-    for (std::size_t r = 1; r < runs.size(); ++r)
-        for (std::size_t i = 0; i < loads.size(); ++i)
-            expectBitIdentical(runs[r][i].result, runs[0][i].result);
-}
-
 TEST(Campaign, SpeculativeSaturationMatchesSerialBisection)
 {
     // The Table IV / Table V simulated configurations.

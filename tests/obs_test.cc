@@ -121,8 +121,6 @@ TEST(CycleTracer, EventNamesRoundTrip)
 
 TEST(CycleTracer, RingOverwritesOldestAndCountsDrops)
 {
-    if (!obs::compiledIn())
-        GTEST_SKIP() << "built with HIRISE_TRACE=OFF";
     obs::CycleTracer tr;
     tr.enable(4);
     obs::setTraceCycle(0);
@@ -149,8 +147,6 @@ TEST(CycleTracer, DisabledTracerRecordsNothing)
 
 TEST(CycleTracer, JsonlExportHasHeaderAndOneLinePerEvent)
 {
-    if (!obs::compiledIn())
-        GTEST_SKIP() << "built with HIRISE_TRACE=OFF";
     obs::CycleTracer tr;
     tr.enable(64);
     obs::setTraceCycle(17);
@@ -181,8 +177,6 @@ TEST(CycleTracer, JsonlExportHasHeaderAndOneLinePerEvent)
 
 TEST(CycleTracer, ChromeExportIsWellFormedEnough)
 {
-    if (!obs::compiledIn())
-        GTEST_SKIP() << "built with HIRISE_TRACE=OFF";
     obs::CycleTracer tr;
     tr.enable(64);
     obs::setTraceCycle(5);
@@ -272,8 +266,6 @@ portEvents(const obs::CycleTracer &tr)
  */
 TEST(ObsEndToEnd, GrantReleaseSequenceMatchesOracleReplay)
 {
-    if (!obs::compiledIn())
-        GTEST_SKIP() << "built with HIRISE_TRACE=OFF";
     auto spec = hirise16();
     auto cfg = traceCfg();
     auto &tr = obs::CycleTracer::global();
@@ -338,10 +330,8 @@ TEST(ObsEndToEnd, TracingDoesNotChangeSimResults)
     EXPECT_EQ(plain.perInputLatency, traced.perInputLatency);
     EXPECT_EQ(plain.perInputThroughput, traced.perInputThroughput);
 
-    if (obs::compiledIn()) {
-        // And the traced run actually recorded simulation events.
-        EXPECT_GT(obs::CycleTracer::global().recorded(), 0u);
-    }
+    // And the traced run actually recorded simulation events.
+    EXPECT_GT(obs::CycleTracer::global().recorded(), 0u);
 }
 
 } // namespace

@@ -430,8 +430,6 @@ TEST(SatFastPath, FaultBreakWhileHeadStreamsBelowLoadOne)
 
 TEST(SatFastPath, TraceEventsMatchMaterializedQueues)
 {
-    if (!obs::compiledIn())
-        GTEST_SKIP() << "built with HIRISE_TRACE=OFF";
     auto &tr = obs::CycleTracer::global();
     auto events = [&](double load, bool dense, bool legacy) {
         tr.clear();

@@ -298,14 +298,23 @@ TEST_F(ServerFixture, ResultsReplayFromAnOffset)
 TEST_F(ServerFixture, QueuedJobCancelsBeforeItRuns)
 {
     // Job A occupies the dispatcher; job B sits queued behind it and
-    // is cancelled before the dispatcher can reach it (three client
-    // round-trips complete in microseconds; A's 16 points do not).
+    // is cancelled while A runs. A is 2000 points of 20000 measured
+    // cycles on seeds no other test here simulates (so none is a
+    // cache hit): seconds of work even on an idle host, so it cannot
+    // finish during the few round-trips before B's cancel. A is
+    // cancelled last, which stops it at its next shard boundary.
     Json big = smallSpecDoc();
     std::string err;
-    ASSERT_TRUE(svc::applySpecOverride(
-        &big, "loads=[0.05,0.1,0.15,0.2]", &err));
     ASSERT_TRUE(
-        svc::applySpecOverride(&big, "seeds=[1,2,3,4]", &err));
+        svc::applySpecOverride(&big, "sim.measure_cycles=20000", &err));
+    Json loads = Json::array();
+    for (int i = 1; i <= 20; ++i)
+        loads.push(0.01 * i);
+    big.set("loads", std::move(loads));
+    Json seeds = Json::array();
+    for (int s = 0; s < 100; ++s)
+        seeds.push(double(900001 + s));
+    big.set("seeds", std::move(seeds));
 
     auto c = connect();
     ASSERT_NE(c, nullptr);
@@ -315,6 +324,7 @@ TEST_F(ServerFixture, QueuedJobCancelsBeforeItRuns)
     Json respA;
     ASSERT_TRUE(c->request(req, &respA, &err)) << err;
     ASSERT_TRUE(respA["ok"].asBool()) << respA.dump();
+    std::string idA = respA["id"].asString();
 
     Json respB;
     ASSERT_TRUE(c->request(req, &respB, &err)) << err;
@@ -341,6 +351,23 @@ TEST_F(ServerFixture, QueuedJobCancelsBeforeItRuns)
     Json done = collectStream(*c, &rows);
     EXPECT_EQ(done["state"].asString(), "cancelled");
     EXPECT_TRUE(rows.empty());
+
+    // Now cancel the running A and wait for its terminal frame.
+    req = Json::object();
+    req.set("op", "cancel");
+    req.set("id", idA);
+    ASSERT_TRUE(c->request(req, &cresp, &err)) << err;
+    ASSERT_TRUE(cresp["ok"].asBool()) << cresp.dump();
+    req = Json::object();
+    req.set("op", "results");
+    req.set("id", idA);
+    ASSERT_TRUE(c->send(req, &err)) << err;
+    ASSERT_TRUE(c->recv(&resp, &err)) << err;
+    ASSERT_TRUE(resp["ok"].asBool());
+    std::vector<std::string> rowsA;
+    done = collectStream(*c, &rowsA);
+    EXPECT_EQ(done["state"].asString(), "cancelled");
+    EXPECT_LT(rowsA.size(), 2000u);
 }
 
 TEST_F(ServerFixture, GracefulShutdownDrainsSubscribers)

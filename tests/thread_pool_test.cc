@@ -1,14 +1,17 @@
 /**
  * @file
- * Work-stealing ThreadPool unit and stress tests: ordering-free
- * completion, nested submits (a task fanning out subtasks and helping
- * while it waits), exception propagation through futures, graceful
- * shutdown with queued work, and parallelMap built on top.
+ * ThreadPool unit and stress tests: ordering-free completion, nested
+ * submits (a task fanning out subtasks and helping while it waits),
+ * exception propagation through futures, graceful shutdown with queued
+ * work, wake-up of idle workers, the queued-task count, and
+ * parallelMap built on top.
  */
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +128,61 @@ TEST(ThreadPool, StressManyProducersManyTasks)
     for (auto &f : futs)
         waitHelping(pool, f);
     EXPECT_EQ(sum.load(), 5000ull * 4999ull / 2);
+}
+
+TEST(ThreadPool, IdleWorkersWakeForOutsideSubmit)
+{
+    // Workers that have gone idle sleep on the condition variable; a
+    // submit from outside the pool must wake one. Plain get(), never
+    // helping, so only a worker can finish the task.
+    using namespace std::chrono_literals;
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        for (int round = 0; round < 2; ++round) {
+            std::this_thread::sleep_for(120ms);
+            auto one = pool.submit([] { return 7; });
+            EXPECT_EQ(one.get(), 7) << "threads=" << threads;
+            std::vector<std::future<int>> futs;
+            for (int i = 0; i < 16; ++i)
+                futs.push_back(pool.submit([i] { return i; }));
+            for (int i = 0; i < 16; ++i)
+                EXPECT_EQ(futs[i].get(), i) << "threads=" << threads;
+        }
+    }
+}
+
+TEST(ThreadPool, PendingTasksNeverExceedsSubmitted)
+{
+    // An observer samples the queued count while this thread submits
+    // and the workers pop: every sample must be at most the number
+    // submitted so far (read after the sample; the count only grows).
+    ThreadPool pool(4);
+    std::atomic<std::uint64_t> submitted{0};
+    std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> worst_excess{0};
+    std::thread observer([&] {
+        while (!done.load()) {
+            std::uint64_t pending = pool.pendingTasks();
+            std::uint64_t sub = submitted.load();
+            if (pending > sub)
+                worst_excess.store(pending - sub);
+        }
+    });
+    std::vector<std::future<void>> futs;
+    futs.reserve(20000);
+    bool over = false;
+    for (int i = 0; i < 20000; ++i) {
+        submitted.fetch_add(1);
+        futs.push_back(pool.submit([] {}));
+        over |= pool.pendingTasks() > submitted.load();
+    }
+    for (auto &f : futs)
+        f.get();
+    done.store(true);
+    observer.join();
+    EXPECT_FALSE(over);
+    EXPECT_EQ(worst_excess.load(), 0u);
+    EXPECT_EQ(pool.pendingTasks(), 0u);
 }
 
 TEST(ParallelMap, MatchesSerialForAnyThreadCount)
